@@ -5,6 +5,7 @@
 // N records as one batch pays one propagation delay instead of N.
 #include <cstdio>
 
+#include "broker/broker.h"
 #include "broker/producer.h"
 #include "common/logging.h"
 #include "network/fabric.h"

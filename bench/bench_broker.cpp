@@ -17,7 +17,7 @@
 #include "broker/consumer.h"
 #include "broker/producer.h"
 #include "cluster/broker_cluster.h"
-#include "cluster/cluster_client.h"
+#include "cluster/cluster_endpoint.h"
 #include "data/codec.h"
 #include "data/generator.h"
 #include "network/fabric.h"
@@ -286,8 +286,10 @@ void run_cluster_case(std::uint32_t brokers, std::uint32_t partitions) {
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      cluster::ClusterProducer producer(bc, cluster::RetryConfig{},
-                                        cluster::AckPolicy::kQuorum);
+      broker::Producer producer(
+          std::make_shared<cluster::ClusterEndpoint>(
+              bc, cluster::RetryConfig{}, cluster::AckPolicy::kQuorum),
+          nullptr, "bench");
       for (std::size_t i = 0; i < kMessagesPerThread; ++i) {
         const auto p =
             static_cast<std::uint32_t>((t * kMessagesPerThread + i) %

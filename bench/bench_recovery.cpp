@@ -20,8 +20,9 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "broker/producer.h"
 #include "cluster/broker_cluster.h"
-#include "cluster/cluster_client.h"
+#include "cluster/cluster_endpoint.h"
 #include "fault/chaos_engine.h"
 #include "resource/pilot_manager.h"
 #include "telemetry/json.h"
@@ -137,8 +138,10 @@ MttrSample bench_broker_failover(std::size_t repeats) {
     options.session_timeout = 5ms;
     auto bc = std::make_shared<cluster::BrokerCluster>(options);
     if (!bc->create_topic("bench").ok()) std::abort();
-    cluster::ClusterProducer producer(bc, cluster::RetryConfig{},
-                                      cluster::AckPolicy::kQuorum);
+    broker::Producer producer(
+        std::make_shared<cluster::ClusterEndpoint>(
+            bc, cluster::RetryConfig{}, cluster::AckPolicy::kQuorum),
+        nullptr, "bench");
     broker::Record warmup;
     warmup.key = "warmup";
     if (!producer.send("bench", 0, std::move(warmup)).ok()) std::abort();

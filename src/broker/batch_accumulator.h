@@ -13,7 +13,7 @@
 //            record — a background flusher thread watches deadlines;
 //   - close: flush()/close() force out everything pending.
 //
-// The sink (Producer::send_batch, ClusterProducer::send_batch) may be
+// The sink (Producer::send_batch, on any endpoint) may be
 // called from the caller's thread (size trigger) and from the flusher
 // thread (linger trigger) concurrently — sinks must be thread-safe. Sink
 // failures are counted (flush_errors, records_dropped) and kept in

@@ -1,15 +1,16 @@
 // The broker service: topic registry + group coordinator + server stats.
 //
 // A Broker lives on a fabric site (typically hosted by a BrokerService
-// pilot). Clients (Producer/Consumer) talk to it through method calls but
-// charge every payload to the fabric link between their site and the
-// broker's site — that is where the paper's WAN effects come from.
+// pilot). Clients (Producer/Consumer) call it as an Endpoint but charge
+// every payload to the fabric link between their site and the broker's
+// site — that is where the paper's WAN effects come from.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "broker/admission.h"
+#include "broker/endpoint.h"
 #include "broker/group_coordinator.h"
 #include "broker/topic.h"
 #include "network/site.h"
@@ -65,7 +67,7 @@ inline std::string dead_letter_topic_name(const std::string& topic) {
   return topic + ".dlq";
 }
 
-class Broker {
+class Broker : public Endpoint {
  public:
   explicit Broker(net::SiteId site, std::string name = "broker-0");
   /// Durable broker: recovers any state already under
@@ -73,7 +75,7 @@ class Broker {
   Broker(net::SiteId site, BrokerOptions options,
          std::string name = "broker-0");
 
-  const net::SiteId& site() const { return site_; }
+  const net::SiteId& site() const override { return site_; }
   const std::string& name() const { return name_; }
   bool durable() const { return !options_.durable_dir.empty(); }
 
@@ -82,7 +84,7 @@ class Broker {
   Status delete_topic(const std::string& name);
   bool has_topic(const std::string& name) const;
   /// Partition count for a topic; 0 when unknown.
-  std::uint32_t partition_count(const std::string& name) const;
+  std::uint32_t partition_count(const std::string& name) const override;
   std::vector<std::string> topic_names() const;
 
   // --- data plane (used by Producer/Consumer clients) ---
@@ -97,7 +99,7 @@ class Broker {
   Result<std::uint64_t> produce(const std::string& topic,
                                 std::uint32_t partition,
                                 std::vector<Record> records,
-                                const std::string& client_id = {});
+                                const std::string& client_id = {}) override;
 
   /// Replication append (cluster layer): appends records fetched from a
   /// partition leader, preserving their broker timestamps instead of
@@ -109,7 +111,7 @@ class Broker {
 
   /// Chooses a partition using the topic's partitioner.
   Result<std::uint32_t> select_partition(const std::string& topic,
-                                         const Record& record);
+                                         const Record& record) override;
 
   /// `client_id` identifies the fetching client for fetch-side admission
   /// control (mirror of the produce path): a client whose fetch buckets
@@ -120,18 +122,19 @@ class Broker {
   Result<std::vector<ConsumedRecord>> fetch(const std::string& topic,
                                             std::uint32_t partition,
                                             const FetchSpec& spec,
-                                            const std::string& client_id = {});
+                                            const std::string& client_id = {})
+      override;
 
   /// Next offset to be written in a partition ("high watermark").
   Result<std::uint64_t> end_offset(const std::string& topic,
-                                   std::uint32_t partition) const;
-  Result<std::uint64_t> log_start_offset(const std::string& topic,
-                                         std::uint32_t partition) const;
+                                   std::uint32_t partition) const override;
+  Result<std::uint64_t> log_start_offset(
+      const std::string& topic, std::uint32_t partition) const override;
   /// Offset of the first record at/after a broker timestamp
   /// (offsetsForTimes).
-  Result<std::uint64_t> offset_for_timestamp(const std::string& topic,
-                                             std::uint32_t partition,
-                                             std::uint64_t ts_ns) const;
+  Result<std::uint64_t> offset_for_timestamp(
+      const std::string& topic, std::uint32_t partition,
+      std::uint64_t ts_ns) const override;
 
   /// Discards every record at/above `offset` in a partition (both tiers)
   /// and resumes the offset sequence there. Used by the cluster layer to
@@ -169,6 +172,33 @@ class Broker {
       double keep_fraction = 0.0);
 
   GroupCoordinator& coordinator() { return coordinator_; }
+
+  // --- consumer groups (Endpoint; served by the coordinator) ---
+  Result<GroupAssignment> join_group(
+      const std::string& group, const std::string& member,
+      const std::vector<std::string>& topics) override {
+    return coordinator_.join(group, member, topics);
+  }
+  Status leave_group(const std::string& group,
+                     const std::string& member) override {
+    return coordinator_.leave(group, member);
+  }
+  Status heartbeat(const std::string& group,
+                   const std::string& member) override {
+    return coordinator_.heartbeat(group, member);
+  }
+  Result<GroupAssignment> group_assignment(
+      const std::string& group, const std::string& member) override {
+    return coordinator_.assignment(group, member);
+  }
+  Status commit_offset(const std::string& group, const TopicPartition& tp,
+                       std::uint64_t offset) override {
+    return coordinator_.commit_offset(group, tp, offset);
+  }
+  std::optional<std::uint64_t> committed_offset(
+      const std::string& group, const TopicPartition& tp) override {
+    return coordinator_.committed_offset(group, tp);
+  }
 
   BrokerStats stats() const;
 

@@ -10,10 +10,10 @@ namespace pe::broker {
 // Like Kafka's consumer, this class is intentionally NOT thread-safe: one
 // consumer instance belongs to one polling thread.
 
-Consumer::Consumer(std::shared_ptr<Broker> broker,
+Consumer::Consumer(std::shared_ptr<Endpoint> endpoint,
                    std::shared_ptr<net::Fabric> fabric, net::SiteId site,
                    std::string group, ConsumerConfig config)
-    : broker_(std::move(broker)),
+    : endpoint_(std::move(endpoint)),
       fabric_(std::move(fabric)),
       site_(std::move(site)),
       group_(std::move(group)),
@@ -23,26 +23,22 @@ Consumer::Consumer(std::shared_ptr<Broker> broker,
 Consumer::~Consumer() { close(); }
 
 Status Consumer::subscribe(const std::vector<std::string>& topics) {
-  auto joined = broker_->coordinator().join(group_, id_, topics);
+  auto joined = endpoint_->join_group(group_, id_, topics);
   if (!joined.ok()) return joined.status();
   subscribed_ = true;
   subscribed_topics_ = topics;
-  generation_ = joined.value().generation;
-  assignment_ = joined.value().partitions;
   positions_.clear();
-  for (const auto& tp : assignment_) {
-    positions_[tp] = initial_position(tp);
-  }
-  stats_.rebalances += 1;
+  apply_assignment(joined.value());
   return Status::Ok();
 }
 
 Status Consumer::assign(std::vector<TopicPartition> partitions) {
   for (const auto& tp : partitions) {
-    if (broker_->partition_count(tp.topic) == 0) {
+    const std::uint32_t count = endpoint_->partition_count(tp.topic);
+    if (count == 0) {
       return Status::NotFound("unknown topic '" + tp.topic + "'");
     }
-    if (tp.partition >= broker_->partition_count(tp.topic)) {
+    if (tp.partition >= count) {
       return Status::OutOfRange("partition out of range for " + tp.topic);
     }
   }
@@ -50,54 +46,59 @@ Status Consumer::assign(std::vector<TopicPartition> partitions) {
   assignment_ = std::move(partitions);
   positions_.clear();
   for (const auto& tp : assignment_) {
-    positions_[tp] = initial_position(tp);
+    if (auto start = initial_position(tp)) positions_[tp] = *start;
   }
   return Status::Ok();
 }
 
-std::uint64_t Consumer::initial_position(const TopicPartition& tp) const {
-  if (auto committed = broker_->coordinator().committed_offset(group_, tp)) {
-    return *committed;
-  }
-  if (config_.offset_reset == OffsetReset::kEarliest) {
-    auto start = broker_->log_start_offset(tp.topic, tp.partition);
-    return start.ok() ? start.value() : 0;
-  }
-  auto end = broker_->end_offset(tp.topic, tp.partition);
-  return end.ok() ? end.value() : 0;
+bool Consumer::is_assigned(const TopicPartition& tp) const {
+  return std::find(assignment_.begin(), assignment_.end(), tp) !=
+         assignment_.end();
 }
 
-void Consumer::maybe_rebalance() {
-  if (!subscribed_) return;
-  if (broker_->coordinator().generation(group_) == generation_) return;
-  auto assigned = broker_->coordinator().assignment(group_, id_);
-  if (!assigned.ok()) {
-    if (assigned.status().code() == StatusCode::kNotFound) {
-      // Session expired and we were evicted: rejoin (Kafka consumers do
-      // the same after missing heartbeats).
-      PE_LOG_WARN("consumer " << id_ << " evicted from group " << group_
-                              << "; rejoining");
-      assigned = broker_->coordinator().join(group_, id_,
-                                             subscribed_topics_);
-    }
-    if (!assigned.ok()) return;
-  }
-  generation_ = assigned.value().generation;
+std::optional<std::uint64_t> Consumer::initial_position(
+    const TopicPartition& tp) {
+  if (auto offset = endpoint_->committed_offset(group_, tp)) return offset;
+  auto start = config_.offset_reset == OffsetReset::kEarliest
+                   ? endpoint_->log_start_offset(tp.topic, tp.partition)
+                   : endpoint_->end_offset(tp.topic, tp.partition);
+  if (!start.ok()) return std::nullopt;
+  return start.value();
+}
+
+void Consumer::apply_assignment(const GroupAssignment& assigned) {
+  generation_ = assigned.generation;
   // Preserve positions for partitions we keep; (re)initialize new ones.
-  std::map<TopicPartition, std::uint64_t> new_positions;
-  for (const auto& tp : assigned.value().partitions) {
-    auto it = positions_.find(tp);
-    new_positions[tp] =
-        it != positions_.end() ? it->second : initial_position(tp);
+  std::map<TopicPartition, std::uint64_t> kept;
+  for (const auto& tp : assigned.partitions) {
+    if (auto it = positions_.find(tp); it != positions_.end()) {
+      kept.emplace(*it);
+    } else if (auto start = initial_position(tp)) {
+      kept.emplace(tp, *start);
+    }
   }
-  assignment_ = assigned.value().partitions;
-  positions_ = std::move(new_positions);
+  assignment_ = assigned.partitions;
+  positions_ = std::move(kept);
   next_partition_index_ = 0;
   stats_.rebalances += 1;
 }
 
-std::vector<ConsumedRecord> Consumer::poll(Duration timeout) {
-  return poll(timeout, nullptr);
+void Consumer::maybe_rebalance() {
+  if (!subscribed_) return;
+  // Liveness signal; also triggers eviction of dead group members.
+  (void)endpoint_->heartbeat(group_, id_);
+  auto assigned = endpoint_->group_assignment(group_, id_);
+  if (!assigned.ok() && assigned.status().code() == StatusCode::kNotFound) {
+    // Evicted (session expired, or a cluster's offsets leader moved and
+    // the group re-forms there): rejoin, as Kafka consumers do.
+    PE_LOG_WARN("consumer " << id_ << " evicted from group " << group_
+                            << "; rejoining");
+    assigned = endpoint_->join_group(group_, id_, subscribed_topics_);
+    generation_ = 0;  // adopt whatever the rejoin hands out
+  }
+  if (assigned.ok() && assigned.value().generation != generation_) {
+    apply_assignment(assigned.value());
+  }
 }
 
 std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
@@ -107,14 +108,10 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
   // delivered is committed now — the application has had the records in
   // hand since then, so a crash between polls redelivers instead of
   // silently dropping. Runs before the heartbeat/rebalance so positions
-  // are persisted before any partition could move away.
+  // are persisted before any partition could move away. A failed commit
+  // (a cluster's offsets leader moving) is retried by the next poll.
   if (config_.auto_commit && uncommitted_delivery_) {
-    (void)commit();
-    uncommitted_delivery_ = false;
-  }
-  if (subscribed_) {
-    // Liveness signal; also triggers eviction of dead group members.
-    (void)broker_->coordinator().heartbeat(group_, id_);
+    uncommitted_delivery_ = !commit().ok();
   }
   maybe_rebalance();
   stats_.polls += 1;
@@ -143,26 +140,34 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
       const auto& tp =
           assignment_[(next_partition_index_ + i) % assignment_.size()];
       if (paused_.count(tp) > 0) continue;
+      auto pos = positions_.find(tp);
+      if (pos == positions_.end()) {
+        auto start = initial_position(tp);
+        if (!start) continue;  // no leader right now; a later sweep
+        pos = positions_.emplace(tp, *start).first;
+      }
       FetchSpec spec;
-      spec.offset = positions_[tp];
+      spec.offset = pos->second;
       spec.max_records = config_.max_poll_records - out.size();
       spec.max_bytes = byte_budget;
       spec.max_wait = Duration::zero();
-      auto fetched = broker_->fetch(tp.topic, tp.partition, spec, id_);
+      auto fetched = endpoint_->fetch(tp.topic, tp.partition, spec, id_);
       if (!fetched.ok()) {
-        if (fetched.status().code() == StatusCode::kOutOfRange) {
-          // Retained away or stale position: jump to a valid offset.
-          positions_[tp] = initial_position(tp);
-        } else if (fetched.status().retry_after() > Duration::zero()) {
+        const Status& failure = fetched.status();
+        if (failure.code() == StatusCode::kOutOfRange) {
+          // Retained away or stale position: re-resolve it next sweep.
+          positions_.erase(pos);
+        } else if (failure.retry_after() > Duration::zero()) {
           // Fetch quota in debt: every partition would get the same
           // refusal, so surface the throttle (with the broker's
           // retry-after hint) and end the poll with what we have.
-          if (throttle != nullptr) *throttle = fetched.status();
+          if (throttle != nullptr) *throttle = failure;
           stats_.throttled_polls += 1;
           if (!out.empty()) uncommitted_delivery_ = true;
           return out;
-        } else {
-          PE_LOG_WARN("poll fetch failed: " << fetched.status().to_string());
+        } else if (!failure.is_transient()) {
+          // Transient failures (a leader moving) clear by a later sweep.
+          PE_LOG_WARN("poll fetch failed: " << failure.to_string());
         }
         continue;
       }
@@ -170,13 +175,16 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
       if (records.empty()) continue;
       std::uint64_t bytes = 0;
       for (const auto& r : records) bytes += r.record.wire_size();
-      // Charge the fetch response to the broker->consumer link.
-      auto transfer = fabric_->transfer(broker_->site(), site_, bytes);
-      if (!transfer.ok()) {
-        PE_LOG_WARN("fetch transfer failed: " << transfer.status().to_string());
-        continue;
+      if (fabric_) {
+        // Charge the fetch response to the endpoint->consumer link.
+        auto transfer = fabric_->transfer(endpoint_->site(), site_, bytes);
+        if (!transfer.ok()) {
+          PE_LOG_WARN(
+              "fetch transfer failed: " << transfer.status().to_string());
+          continue;
+        }
       }
-      positions_[tp] = records.back().offset + 1;
+      pos->second = records.back().offset + 1;
       stats_.records_received += records.size();
       stats_.bytes_received += bytes;
       byte_budget -= std::min(byte_budget, bytes);
@@ -191,32 +199,32 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
 
     if (!out.empty() || Clock::now() >= deadline) break;
 
-    // Nothing available anywhere: long-poll on the first assigned
-    // unpaused partition for a slice of the remaining budget, then
-    // re-sweep (data may arrive on any partition).
+    // Nothing available anywhere: long-poll on the first unpaused
+    // partition with a resolved position for a slice of the remaining
+    // budget, then re-sweep (data may arrive on any partition).
     const auto remaining = deadline - Clock::now();
     const auto slice = std::min<Duration>(
         remaining, std::chrono::duration_cast<Duration>(
                        std::chrono::milliseconds(5)));
     const TopicPartition* wait_tp = nullptr;
-    for (std::size_t i = 0; i < assignment_.size(); ++i) {
+    FetchSpec spec;
+    for (std::size_t i = 0; i < assignment_.size() && !wait_tp; ++i) {
       const auto& candidate =
           assignment_[(next_partition_index_ + i) % assignment_.size()];
-      if (paused_.count(candidate) == 0) {
+      auto pos = positions_.find(candidate);
+      if (paused_.count(candidate) == 0 && pos != positions_.end()) {
         wait_tp = &candidate;
-        break;
+        spec.offset = pos->second;
       }
     }
     if (wait_tp == nullptr) {
-      // Everything paused: just wait out the slice.
+      // Everything paused or unresolved: just wait out the slice.
       Clock::sleep_exact(slice);
       continue;
     }
-    FetchSpec spec;
-    spec.offset = positions_[*wait_tp];
     spec.max_records = 1;
     spec.max_wait = slice;
-    (void)broker_->fetch(wait_tp->topic, wait_tp->partition, spec);
+    (void)endpoint_->fetch(wait_tp->topic, wait_tp->partition, spec, {});
     // Result intentionally ignored: the sweep at the top of the loop will
     // re-fetch (and network-charge) anything that arrived.
   }
@@ -231,32 +239,26 @@ std::vector<TopicPartition> Consumer::assignment() const {
 
 Result<std::uint64_t> Consumer::position(const TopicPartition& tp) const {
   auto it = positions_.find(tp);
-  if (it == positions_.end()) {
-    return Status::NotFound("partition not assigned");
-  }
-  return it->second;
+  if (it != positions_.end()) return it->second;
+  if (is_assigned(tp)) return Status::Unavailable("position not resolved");
+  return Status::NotFound("partition not assigned");
 }
 
 Status Consumer::seek(const TopicPartition& tp, std::uint64_t offset) {
-  auto it = positions_.find(tp);
-  if (it == positions_.end()) {
-    return Status::NotFound("partition not assigned");
-  }
-  it->second = offset;
+  if (!is_assigned(tp)) return Status::NotFound("partition not assigned");
+  positions_[tp] = offset;
   return Status::Ok();
 }
 
 Status Consumer::seek_to_timestamp(const TopicPartition& tp,
                                    std::uint64_t ts_ns) {
-  auto offset = broker_->offset_for_timestamp(tp.topic, tp.partition, ts_ns);
+  auto offset = endpoint_->offset_for_timestamp(tp.topic, tp.partition, ts_ns);
   if (!offset.ok()) return offset.status();
   return seek(tp, offset.value());
 }
 
 Status Consumer::pause(const TopicPartition& tp) {
-  if (positions_.find(tp) == positions_.end()) {
-    return Status::NotFound("partition not assigned");
-  }
+  if (!is_assigned(tp)) return Status::NotFound("partition not assigned");
   paused_.insert(tp);
   return Status::Ok();
 }
@@ -274,8 +276,7 @@ bool Consumer::paused(const TopicPartition& tp) const {
 
 Status Consumer::commit() {
   for (const auto& [tp, pos] : positions_) {
-    if (auto s = broker_->coordinator().commit_offset(group_, tp, pos);
-        !s.ok()) {
+    if (auto s = endpoint_->commit_offset(group_, tp, pos); !s.ok()) {
       return s;
     }
   }
@@ -292,7 +293,7 @@ void Consumer::close() {
     uncommitted_delivery_ = false;
   }
   if (subscribed_) {
-    (void)broker_->coordinator().leave(group_, id_);
+    (void)endpoint_->leave_group(group_, id_);
     subscribed_ = false;
   }
 }

@@ -1,9 +1,10 @@
-// Consumer client.
+// Consumer client over an Endpoint (a Broker or a cluster::ClusterEndpoint).
 //
 // Supports Kafka-style group subscription (partitions assigned by the
-// broker's GroupCoordinator, rebalancing on membership change) or manual
-// assignment. poll() fetches from assigned partitions round-robin and
-// charges fetched bytes to the broker->consumer fabric link.
+// endpoint's group coordinator, rebalancing on membership change) or
+// manual assignment. poll() fetches from assigned partitions round-robin
+// and charges fetched bytes to the endpoint->consumer fabric link (none
+// with a null fabric).
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,7 @@
 
 #include "common/clock.h"
 #include "common/status.h"
-#include "broker/broker.h"
+#include "broker/endpoint.h"
 #include "network/fabric.h"
 
 namespace pe::broker {
@@ -48,8 +49,9 @@ struct ConsumerStats {
 
 class Consumer {
  public:
-  Consumer(std::shared_ptr<Broker> broker, std::shared_ptr<net::Fabric> fabric,
-           net::SiteId site, std::string group, ConsumerConfig config = {});
+  Consumer(std::shared_ptr<Endpoint> endpoint,
+           std::shared_ptr<net::Fabric> fabric, net::SiteId site,
+           std::string group, ConsumerConfig config = {});
   ~Consumer();
 
   Consumer(const Consumer&) = delete;
@@ -66,19 +68,20 @@ class Consumer {
 
   /// Fetches up to config.max_poll_records across assigned partitions,
   /// waiting up to `timeout` for data. Returns an empty vector on timeout.
-  std::vector<ConsumedRecord> poll(Duration timeout);
-
-  /// Like poll(), additionally reporting fetch-side throttling: when the
-  /// broker refused a fetch because this client's fetch quota is in debt,
+  ///
+  /// With `throttle`, also reports fetch-side throttling: when the broker
+  /// refused a fetch because this client's fetch quota is in debt,
   /// `*throttle` is the Status::Throttled (carrying the broker's
   /// retry-after hint) and the poll returns early instead of burning the
   /// timeout against a broker that already said no. OK otherwise.
-  std::vector<ConsumedRecord> poll(Duration timeout, Status* throttle);
+  std::vector<ConsumedRecord> poll(Duration timeout,
+                                   Status* throttle = nullptr);
 
   /// Current assignment (after any pending rebalance is applied on poll).
   std::vector<TopicPartition> assignment() const;
 
-  /// Next offset this consumer will read from a partition.
+  /// Next offset this consumer will read from a partition; UNAVAILABLE
+  /// until a later poll resolves a leaderless partition's start.
   Result<std::uint64_t> position(const TopicPartition& tp) const;
 
   Status seek(const TopicPartition& tp, std::uint64_t offset);
@@ -108,11 +111,17 @@ class Consumer {
   ConsumerStats stats() const;
 
  private:
-  /// Re-reads the coordinator assignment if the generation moved.
+  /// Heartbeats, then adopts the coordinator's assignment if its
+  /// generation moved (rejoining when this member was evicted).
   void maybe_rebalance();
-  std::uint64_t initial_position(const TopicPartition& tp) const;
+  /// Adopts a new assignment, keeping positions of retained partitions.
+  void apply_assignment(const GroupAssignment& assigned);
+  bool is_assigned(const TopicPartition& tp) const;
+  /// Committed offset, else the reset point; nullopt (never a guessed 0)
+  /// while the endpoint cannot tell.
+  std::optional<std::uint64_t> initial_position(const TopicPartition& tp);
 
-  std::shared_ptr<Broker> broker_;
+  std::shared_ptr<Endpoint> endpoint_;
   std::shared_ptr<net::Fabric> fabric_;
   const net::SiteId site_;
   const std::string group_;
@@ -127,6 +136,7 @@ class Consumer {
   bool uncommitted_delivery_ = false;
   std::uint64_t generation_ = 0;
   std::vector<TopicPartition> assignment_;
+  /// Assigned partitions missing here are resolved by the next poll.
   std::map<TopicPartition, std::uint64_t> positions_;
   std::set<TopicPartition> paused_;
   std::size_t next_partition_index_ = 0;

@@ -2,9 +2,9 @@
 
 namespace pe::broker {
 
-Producer::Producer(std::shared_ptr<Broker> broker,
+Producer::Producer(std::shared_ptr<Endpoint> endpoint,
                    std::shared_ptr<net::Fabric> fabric, net::SiteId site)
-    : broker_(std::move(broker)),
+    : endpoint_(std::move(endpoint)),
       fabric_(std::move(fabric)),
       site_(std::move(site)) {}
 
@@ -50,7 +50,7 @@ Status Producer::last_batch_error() const {
 
 Result<RecordMetadata> Producer::send(const std::string& topic,
                                       Record record) {
-  auto partition = broker_->select_partition(topic, record);
+  auto partition = endpoint_->select_partition(topic, record);
   if (!partition.ok()) {
     MutexLock lock(mutex_);
     stats_.send_errors += 1;
@@ -63,8 +63,7 @@ Result<RecordMetadata> Producer::send(const std::string& topic,
                                       std::uint32_t partition, Record record) {
   std::vector<Record> batch;
   batch.push_back(std::move(record));
-  auto meta = send_batch(topic, partition, std::move(batch));
-  return meta;
+  return send_batch(topic, partition, std::move(batch));
 }
 
 Result<RecordMetadata> Producer::send_batch(const std::string& topic,
@@ -76,15 +75,19 @@ Result<RecordMetadata> Producer::send_batch(const std::string& topic,
   std::uint64_t bytes = 0;
   for (const auto& r : records) bytes += r.wire_size();
 
-  auto transfer = fabric_->transfer(site_, broker_->site(), bytes);
-  if (!transfer.ok()) {
-    MutexLock lock(mutex_);
-    stats_.send_errors += 1;
-    return transfer.status();
+  RecordMetadata meta;
+  if (fabric_) {
+    auto transfer = fabric_->transfer(site_, endpoint_->site(), bytes);
+    if (!transfer.ok()) {
+      MutexLock lock(mutex_);
+      stats_.send_errors += 1;
+      return transfer.status();
+    }
+    meta.transfer = transfer.value();
   }
 
   const auto count = records.size();
-  auto offset = broker_->produce(topic, partition, std::move(records), id_);
+  auto offset = endpoint_->produce(topic, partition, std::move(records), id_);
   if (!offset.ok()) {
     MutexLock lock(mutex_);
     stats_.send_errors += 1;
@@ -97,11 +100,9 @@ Result<RecordMetadata> Producer::send_batch(const std::string& topic,
     stats_.bytes_sent += bytes;
   }
 
-  RecordMetadata meta;
   meta.topic = topic;
   meta.partition = partition;
   meta.offset = offset.value();
-  meta.transfer = transfer.value();
   return meta;
 }
 

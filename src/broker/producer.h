@@ -1,10 +1,11 @@
-// Producer client.
+// Producer client over an Endpoint (a Broker or a cluster::ClusterEndpoint).
 //
 // Attached to a fabric site; every send charges the serialized payload to
-// the link between the producer's site and the broker's site before the
-// records are appended. send_batch models Kafka producer batching: the
-// whole batch crosses the network as one transfer (one propagation delay),
-// which is what makes batching pay off over the WAN.
+// the link between the producer's site and the endpoint's site before the
+// records are appended (none with a null fabric). send_batch models Kafka
+// producer batching: the whole batch crosses the network as one transfer
+// (one propagation delay), which is what makes batching pay off over the
+// WAN.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,7 @@
 #include "common/ids.h"
 #include "common/status.h"
 #include "broker/batch_accumulator.h"
-#include "broker/broker.h"
+#include "broker/endpoint.h"
 #include "common/mutex.h"
 #include "network/fabric.h"
 
@@ -37,8 +38,8 @@ struct ProducerStats {
 
 class Producer {
  public:
-  Producer(std::shared_ptr<Broker> broker, std::shared_ptr<net::Fabric> fabric,
-           net::SiteId site);
+  Producer(std::shared_ptr<Endpoint> endpoint,
+           std::shared_ptr<net::Fabric> fabric, net::SiteId site);
   ~Producer();
 
   /// Sends one record; partition chosen by the topic's partitioner.
@@ -70,7 +71,7 @@ class Producer {
   Status close();
 
   const net::SiteId& site() const { return site_; }
-  /// Client id presented to the broker's admission control.
+  /// Client id presented to the serving broker's admission control.
   const std::string& id() const { return id_; }
   ProducerStats stats() const;
   /// Accumulator stats; zeroes when batching is not enabled.
@@ -78,7 +79,7 @@ class Producer {
   Status last_batch_error() const;
 
  private:
-  std::shared_ptr<Broker> broker_;
+  std::shared_ptr<Endpoint> endpoint_;
   std::shared_ptr<net::Fabric> fabric_;
   const net::SiteId site_;
   const std::string id_ = next_producer_id();

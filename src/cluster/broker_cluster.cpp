@@ -178,6 +178,33 @@ Result<BrokerCluster::PartitionState*> BrokerCluster::find_partition_locked(
   return it->second.partitions[partition].get();
 }
 
+Result<BrokerCluster::PartitionState*> BrokerCluster::led_partition_locked(
+    BrokerId via, const std::string& topic, std::uint32_t partition) const {
+  if (via >= nodes_.size()) {
+    return Status::InvalidArgument("unknown broker id " + std::to_string(via));
+  }
+  auto found = find_partition_locked(topic, partition);
+  if (!found.ok()) return found.status();
+  const PartitionMeta& meta = found.value()->meta;
+  if (meta.leader == kNoBroker) return leaderless_status(topic, partition);
+  if (via != meta.leader) {
+    tel::MetricsRegistry::global()
+        .counter("cluster.not_leader_rejections")
+        .add();
+    return Status::NotLeader(
+        broker_name_for(via) + " is not the leader for " +
+        tp_str(topic, partition) + " (leader: " +
+        broker_name_for(meta.leader) + ", epoch " +
+        std::to_string(meta.epoch) + ")");
+  }
+  const Node& leader_node = nodes_[meta.leader];
+  if (!leader_node.alive || leader_node.isolated) {
+    return Status::Unavailable(broker_name_for(meta.leader) +
+                               " is unreachable");
+  }
+  return found;
+}
+
 Result<PartitionMeta> BrokerCluster::metadata(const std::string& topic,
                                               std::uint32_t partition) const {
   ReaderLock lock(mutex_);
@@ -323,33 +350,10 @@ Result<std::uint64_t> BrokerCluster::produce(
   AckWait wait;
   {
     ReaderLock lock(mutex_);
-    if (via >= nodes_.size()) {
-      return Status::InvalidArgument("unknown broker id " +
-                                     std::to_string(via));
-    }
-    auto found = find_partition_locked(topic, partition);
+    auto found = led_partition_locked(via, topic, partition);
     if (!found.ok()) return found.status();
     PartitionState& ps = *found.value();
     const PartitionMeta meta = ps.meta;
-    if (meta.leader == kNoBroker) {
-      return Status::Unavailable("partition " + tp_str(topic, partition) +
-                                 " is leaderless (election pending)");
-    }
-    if (via != meta.leader) {
-      tel::MetricsRegistry::global()
-          .counter("cluster.not_leader_rejections")
-          .add();
-      return Status::NotLeader(
-          broker_name_for(via) + " is not the leader for " +
-          tp_str(topic, partition) + " (leader: " +
-          broker_name_for(meta.leader) + ", epoch " +
-          std::to_string(meta.epoch) + ")");
-    }
-    Node& leader_node = nodes_[meta.leader];
-    if (!leader_node.alive || leader_node.isolated) {
-      return Status::Unavailable(broker_name_for(meta.leader) +
-                                 " is unreachable");
-    }
     MutexLock append_lock(ps.append_mutex);
     auto appended = replicated_append_locked(topic, partition, ps, meta,
                                              records, acks, client_id, wait);
@@ -389,32 +393,11 @@ std::uint64_t BrokerCluster::high_watermark_locked(
 
 Result<std::vector<broker::ConsumedRecord>> BrokerCluster::fetch(
     BrokerId via, const std::string& topic, std::uint32_t partition,
-    broker::FetchSpec spec) const {
+    broker::FetchSpec spec, const std::string& client_id) const {
   ReaderLock lock(mutex_);
-  if (via >= nodes_.size()) {
-    return Status::InvalidArgument("unknown broker id " + std::to_string(via));
-  }
-  auto found = find_partition_locked(topic, partition);
+  auto found = led_partition_locked(via, topic, partition);
   if (!found.ok()) return found.status();
   const PartitionState& ps = *found.value();
-  const PartitionMeta& meta = ps.meta;
-  if (meta.leader == kNoBroker) {
-    return Status::Unavailable("partition " + tp_str(topic, partition) +
-                               " is leaderless (election pending)");
-  }
-  if (via != meta.leader) {
-    tel::MetricsRegistry::global()
-        .counter("cluster.not_leader_rejections")
-        .add();
-    return Status::NotLeader(broker_name_for(via) + " is not the leader for " +
-                             tp_str(topic, partition) + " (leader: " +
-                             broker_name_for(meta.leader) + ")");
-  }
-  const Node& leader_node = nodes_[meta.leader];
-  if (!leader_node.alive || leader_node.isolated) {
-    return Status::Unavailable(broker_name_for(meta.leader) +
-                               " is unreachable");
-  }
   const std::uint64_t hw = high_watermark_locked(topic, partition, ps);
   if (spec.offset > hw) {
     return Status::OutOfRange("fetch offset " + std::to_string(spec.offset) +
@@ -424,7 +407,8 @@ Result<std::vector<broker::ConsumedRecord>> BrokerCluster::fetch(
   spec.max_wait = Duration::zero();  // never long-poll under the cluster lock
   spec.max_records = static_cast<std::size_t>(
       std::min<std::uint64_t>(spec.max_records, hw - spec.offset));
-  auto fetched = leader_node.broker->fetch(topic, partition, spec);
+  auto fetched =
+      nodes_[ps.meta.leader].broker->fetch(topic, partition, spec, client_id);
   if (!fetched.ok()) return fetched.status();
   auto records = std::move(fetched).value();
   while (!records.empty() && records.back().offset >= hw) records.pop_back();
@@ -444,12 +428,23 @@ Result<std::uint64_t> BrokerCluster::log_start_offset(
   ReaderLock lock(mutex_);
   auto found = find_partition_locked(topic, partition);
   if (!found.ok()) return found.status();
-  const PartitionMeta& meta = found.value()->meta;
-  if (meta.leader == kNoBroker) {
-    return Status::Unavailable("partition " + tp_str(topic, partition) +
-                               " is leaderless (election pending)");
-  }
-  return nodes_[meta.leader].broker->log_start_offset(topic, partition);
+  const BrokerId leader = found.value()->meta.leader;
+  if (leader == kNoBroker) return leaderless_status(topic, partition);
+  return nodes_[leader].broker->log_start_offset(topic, partition);
+}
+
+Result<std::uint64_t> BrokerCluster::offset_for_timestamp(
+    const std::string& topic, std::uint32_t partition,
+    std::uint64_t ts_ns) const {
+  ReaderLock lock(mutex_);
+  auto found = find_partition_locked(topic, partition);
+  if (!found.ok()) return found.status();
+  const PartitionState& ps = *found.value();
+  if (ps.meta.leader == kNoBroker) return leaderless_status(topic, partition);
+  auto offset = nodes_[ps.meta.leader].broker->offset_for_timestamp(
+      topic, partition, ts_ns);
+  if (!offset.ok()) return offset.status();
+  return std::min(offset.value(), high_watermark_locked(topic, partition, ps));
 }
 
 // --- consumer groups -------------------------------------------------------
@@ -463,48 +458,6 @@ std::shared_ptr<broker::Broker> BrokerCluster::offsets_leader() const {
   const Node& node = nodes_[leader];
   if (!node.alive || node.isolated) return nullptr;
   return node.broker;
-}
-
-Result<broker::GroupAssignment> BrokerCluster::join_group(
-    const std::string& group, const std::string& member,
-    const std::vector<std::string>& topics) {
-  auto b = offsets_leader();
-  if (!b) {
-    return Status::Unavailable("no offsets leader (election pending)");
-  }
-  return b->coordinator().join(group, member, topics);
-}
-
-Status BrokerCluster::leave_group(const std::string& group,
-                                  const std::string& member) {
-  auto b = offsets_leader();
-  if (!b) {
-    return Status::Unavailable("no offsets leader (election pending)");
-  }
-  return b->coordinator().leave(group, member);
-}
-
-Status BrokerCluster::heartbeat(const std::string& group,
-                                const std::string& member) {
-  auto b = offsets_leader();
-  if (!b) {
-    return Status::Unavailable("no offsets leader (election pending)");
-  }
-  return b->coordinator().heartbeat(group, member);
-}
-
-Result<broker::GroupAssignment> BrokerCluster::group_assignment(
-    const std::string& group, const std::string& member) const {
-  auto b = offsets_leader();
-  if (!b) {
-    return Status::Unavailable("no offsets leader (election pending)");
-  }
-  return b->coordinator().assignment(group, member);
-}
-
-std::uint64_t BrokerCluster::group_generation(const std::string& group) const {
-  auto b = offsets_leader();
-  return b ? b->coordinator().generation(group) : 0;
 }
 
 std::uint64_t BrokerCluster::offsets_epoch() const {

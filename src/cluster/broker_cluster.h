@@ -98,9 +98,10 @@ class BrokerCluster {
 
   /// Reads from the leader, capped at the high watermark: records not yet
   /// on a majority of replicas are invisible. Never long-polls.
+  /// `client_id` feeds the leader broker's fetch quota (Broker::fetch).
   Result<std::vector<broker::ConsumedRecord>> fetch(
       BrokerId via, const std::string& topic, std::uint32_t partition,
-      broker::FetchSpec spec) const;
+      broker::FetchSpec spec, const std::string& client_id = {}) const;
 
   /// Committed end of a partition: the quorum-replicated offset. A
   /// consumer positioned here has seen everything that is guaranteed to
@@ -109,16 +110,17 @@ class BrokerCluster {
                                        std::uint32_t partition) const;
   Result<std::uint64_t> log_start_offset(const std::string& topic,
                                          std::uint32_t partition) const;
+  /// Offset of the first record at/after a broker timestamp, served by
+  /// the leader and capped at the high watermark. Replicas keep the
+  /// leader's timestamps, so the answer survives a failover.
+  Result<std::uint64_t> offset_for_timestamp(const std::string& topic,
+                                             std::uint32_t partition,
+                                             std::uint64_t ts_ns) const;
 
-  // --- consumer groups (served by the __offsets partition leader) ---
-  Result<broker::GroupAssignment> join_group(
-      const std::string& group, const std::string& member,
-      const std::vector<std::string>& topics);
-  Status leave_group(const std::string& group, const std::string& member);
-  Status heartbeat(const std::string& group, const std::string& member);
-  Result<broker::GroupAssignment> group_assignment(
-      const std::string& group, const std::string& member) const;
-  std::uint64_t group_generation(const std::string& group) const;
+  // --- consumer groups ---
+  /// The live `__offsets` leader, whose coordinator serves consumer
+  /// groups; null during its election.
+  std::shared_ptr<broker::Broker> offsets_leader() const;
 
   /// Replicated offset commit: appended to `__offsets` under the given
   /// leader epoch (stale epochs are fenced with NOT_LEADER), applied to
@@ -234,7 +236,12 @@ class BrokerCluster {
   Result<PartitionState*> find_partition_locked(const std::string& topic,
                                                 std::uint32_t partition) const
       PE_REQUIRES_SHARED(mutex_);
-  std::shared_ptr<broker::Broker> offsets_leader() const;
+  /// The partition, when `via` is its live, reachable leader: NOT_LEADER
+  /// (naming the real leader) or UNAVAILABLE otherwise.
+  Result<PartitionState*> led_partition_locked(BrokerId via,
+                                               const std::string& topic,
+                                               std::uint32_t partition) const
+      PE_REQUIRES_SHARED(mutex_);
   std::uint64_t high_watermark_locked(const std::string& topic,
                                       std::uint32_t partition,
                                       const PartitionState& ps) const

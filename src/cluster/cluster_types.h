@@ -57,6 +57,14 @@ inline const char* to_string(AckPolicy acks) {
   return "unknown";
 }
 
+/// What a call against a partition without a live leader fails with.
+inline Status leaderless_status(const std::string& topic,
+                                std::uint32_t partition) {
+  return Status::Unavailable("partition " + topic + "/" +
+                             std::to_string(partition) +
+                             " is leaderless (election pending)");
+}
+
 /// Metadata-plane view of one topic-partition.
 struct PartitionMeta {
   BrokerId leader = kNoBroker;

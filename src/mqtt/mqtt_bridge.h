@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "broker/broker.h"
 #include "broker/producer.h"
 #include "mqtt/mqtt_client.h"
 

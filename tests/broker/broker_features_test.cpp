@@ -2,6 +2,7 @@
 // liveness (heartbeats / session eviction).
 #include <gtest/gtest.h>
 
+#include "broker/broker.h"
 #include "broker/consumer.h"
 #include "broker/producer.h"
 #include "network/fabric.h"

@@ -1,8 +1,11 @@
-// End-to-end producer/consumer client tests over a fabric.
+// End-to-end producer/consumer client tests over a fabric. Scenarios that
+// hold on every endpoint also run against a replicated cluster (see
+// client_targets.h).
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "client_targets.h"
 #include "broker/consumer.h"
 #include "broker/producer.h"
 #include "network/fabric.h"
@@ -27,6 +30,11 @@ class ClientTest : public ::testing::Test {
     ASSERT_TRUE(broker_->create_topic("t", TopicConfig{.partitions = 2}).ok());
   }
 
+  /// The fixture's broker and a 3-broker cluster, both with topic "t".
+  std::vector<ClientTarget> targets() {
+    return client_targets(broker_, fabric_, "t", 2);
+  }
+
   Record make_record(const std::string& key, std::size_t size = 16) {
     Record r;
     r.key = key;
@@ -39,18 +47,23 @@ class ClientTest : public ::testing::Test {
 };
 
 TEST_F(ClientTest, ProduceConsumeRoundTrip) {
-  Producer producer(broker_, fabric_, "edge");
-  auto meta = producer.send("t", 0, make_record("hello"));
-  ASSERT_TRUE(meta.ok());
-  EXPECT_EQ(meta.value().offset, 0u);
-  EXPECT_GT(meta.value().transfer.propagation, Duration::zero());
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "edge");
+    auto meta = producer.send("t", 0, make_record("hello"));
+    ASSERT_TRUE(meta.ok());
+    EXPECT_EQ(meta.value().offset, 0u);
+    if (target.fabric) {
+      EXPECT_GT(meta.value().transfer.propagation, Duration::zero());
+    }
 
-  Consumer consumer(broker_, fabric_, "cloud", "g");
-  ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
-  auto records = consumer.poll(std::chrono::milliseconds(100));
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].record.key, "hello");
-  EXPECT_EQ(consumer.stats().records_received, 1u);
+    Consumer consumer(target.endpoint, target.fabric, "cloud", "g");
+    ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
+    auto records = consumer.poll(std::chrono::milliseconds(100));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].record.key, "hello");
+    EXPECT_EQ(consumer.stats().records_received, 1u);
+  }
 }
 
 TEST_F(ClientTest, KeyedSendIsStablePartition) {
@@ -87,14 +100,17 @@ TEST_F(ClientTest, SendToUnknownTopicCountsError) {
 }
 
 TEST_F(ClientTest, SubscribeSpreadsPartitionsAcrossConsumers) {
-  Consumer c1(broker_, fabric_, "cloud", "g");
-  Consumer c2(broker_, fabric_, "cloud", "g");
-  ASSERT_TRUE(c1.subscribe({"t"}).ok());
-  ASSERT_TRUE(c2.subscribe({"t"}).ok());
-  // Trigger rebalance pickup.
-  (void)c1.poll(std::chrono::milliseconds(10));
-  (void)c2.poll(std::chrono::milliseconds(10));
-  EXPECT_EQ(c1.assignment().size() + c2.assignment().size(), 2u);
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    Consumer c1(target.endpoint, target.fabric, "cloud", "g");
+    Consumer c2(target.endpoint, target.fabric, "cloud", "g");
+    ASSERT_TRUE(c1.subscribe({"t"}).ok());
+    ASSERT_TRUE(c2.subscribe({"t"}).ok());
+    // Trigger rebalance pickup.
+    (void)c1.poll(std::chrono::milliseconds(10));
+    (void)c2.poll(std::chrono::milliseconds(10));
+    EXPECT_EQ(c1.assignment().size() + c2.assignment().size(), 2u);
+  }
 }
 
 TEST_F(ClientTest, PollDrainsAllPartitions) {
@@ -112,54 +128,64 @@ TEST_F(ClientTest, PollDrainsAllPartitions) {
 }
 
 TEST_F(ClientTest, OffsetResetLatestSkipsOldData) {
-  Producer producer(broker_, fabric_, "edge");
-  ASSERT_TRUE(producer.send("t", 0, make_record("old")).ok());
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "edge");
+    ASSERT_TRUE(producer.send("t", 0, make_record("old")).ok());
 
-  ConsumerConfig config;
-  config.offset_reset = OffsetReset::kLatest;
-  Consumer consumer(broker_, fabric_, "cloud", "g-latest", config);
-  ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
-  EXPECT_TRUE(consumer.poll(std::chrono::milliseconds(20)).empty());
+    ConsumerConfig config;
+    config.offset_reset = OffsetReset::kLatest;
+    Consumer consumer(target.endpoint, target.fabric, "cloud", "g-latest",
+                      config);
+    ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
+    EXPECT_TRUE(consumer.poll(std::chrono::milliseconds(20)).empty());
 
-  ASSERT_TRUE(producer.send("t", 0, make_record("new")).ok());
-  auto records = consumer.poll(std::chrono::milliseconds(100));
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].record.key, "new");
+    ASSERT_TRUE(producer.send("t", 0, make_record("new")).ok());
+    auto records = consumer.poll(std::chrono::milliseconds(100));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].record.key, "new");
+  }
 }
 
 TEST_F(ClientTest, CommittedOffsetsResumeAfterRestart) {
-  Producer producer(broker_, fabric_, "edge");
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(producer.send("t", 0, make_record(std::to_string(i))).ok());
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "edge");
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(producer.send("t", 0, make_record(std::to_string(i))).ok());
+    }
+    {
+      Consumer consumer(target.endpoint, target.fabric, "cloud", "g-resume");
+      ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
+      auto records = consumer.poll(std::chrono::milliseconds(100));
+      ASSERT_GE(records.size(), 1u);  // committed on close
+    }
+    Consumer resumed(target.endpoint, target.fabric, "cloud", "g-resume");
+    ASSERT_TRUE(resumed.assign({{"t", 0}}).ok());
+    // All four were fetched and committed by the first consumer.
+    EXPECT_TRUE(resumed.poll(std::chrono::milliseconds(20)).empty());
   }
-  {
-    Consumer consumer(broker_, fabric_, "cloud", "g-resume");
-    ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
-    ConsumerConfig config;
-    auto records = consumer.poll(std::chrono::milliseconds(100));
-    ASSERT_GE(records.size(), 1u);  // auto-commit on poll
-  }
-  Consumer resumed(broker_, fabric_, "cloud", "g-resume");
-  ASSERT_TRUE(resumed.assign({{"t", 0}}).ok());
-  // All four were fetched and committed by the first consumer.
-  EXPECT_TRUE(resumed.poll(std::chrono::milliseconds(20)).empty());
 }
 
 TEST_F(ClientTest, SeekRewindsPosition) {
-  Producer producer(broker_, fabric_, "edge");
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(producer.send("t", 0, make_record(std::to_string(i))).ok());
-  }
-  ConsumerConfig config;
-  config.auto_commit = false;
-  Consumer consumer(broker_, fabric_, "cloud", "g-seek", config);
-  ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
-  ASSERT_EQ(consumer.poll(std::chrono::milliseconds(100)).size(), 3u);
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "edge");
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(producer.send("t", 0, make_record(std::to_string(i))).ok());
+    }
+    ConsumerConfig config;
+    config.auto_commit = false;
+    Consumer consumer(target.endpoint, target.fabric, "cloud", "g-seek",
+                      config);
+    ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
+    ASSERT_EQ(consumer.poll(std::chrono::milliseconds(100)).size(), 3u);
 
-  ASSERT_TRUE(consumer.seek({"t", 0}, 1).ok());
-  auto again = consumer.poll(std::chrono::milliseconds(100));
-  ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(again[0].offset, 1u);
+    ASSERT_TRUE(consumer.seek({"t", 0}, 1).ok());
+    auto again = consumer.poll(std::chrono::milliseconds(100));
+    ASSERT_EQ(again.size(), 2u);
+    EXPECT_EQ(again[0].offset, 1u);
+  }
 }
 
 TEST_F(ClientTest, SeekUnassignedPartitionFails) {
@@ -258,22 +284,25 @@ TEST_F(ClientTest, AutoCommitIsDeferredToNextPoll) {
   // at the START of the next poll, never in the same call that delivered
   // them. A crash between the two polls must leave the offsets
   // uncommitted so the records are redelivered.
-  Producer producer(broker_, fabric_, "edge");
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(producer.send("t", 0, make_record(std::to_string(i))).ok());
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "edge");
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(producer.send("t", 0, make_record(std::to_string(i))).ok());
+    }
+    Consumer consumer(target.endpoint, target.fabric, "cloud", "g-defer");
+    ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
+    ASSERT_EQ(consumer.poll(std::chrono::milliseconds(100)).size(), 3u);
+    // Delivered but not yet committed.
+    EXPECT_FALSE(
+        target.coordinator().committed_offset("g-defer", {"t", 0}).has_value());
+    // The next poll (even an empty one) persists the previous positions.
+    (void)consumer.poll(std::chrono::milliseconds(1));
+    const auto committed =
+        target.coordinator().committed_offset("g-defer", {"t", 0});
+    ASSERT_TRUE(committed.has_value());
+    EXPECT_EQ(*committed, 3u);
   }
-  Consumer consumer(broker_, fabric_, "cloud", "g-defer");
-  ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
-  ASSERT_EQ(consumer.poll(std::chrono::milliseconds(100)).size(), 3u);
-  // Delivered but not yet committed.
-  EXPECT_FALSE(
-      broker_->coordinator().committed_offset("g-defer", {"t", 0}).has_value());
-  // The next poll (even an empty one) persists the previous positions.
-  (void)consumer.poll(std::chrono::milliseconds(1));
-  const auto committed =
-      broker_->coordinator().committed_offset("g-defer", {"t", 0});
-  ASSERT_TRUE(committed.has_value());
-  EXPECT_EQ(*committed, 3u);
 }
 
 TEST_F(ClientTest, CrashAfterPollRedeliversUncommittedRecords) {
@@ -281,49 +310,52 @@ TEST_F(ClientTest, CrashAfterPollRedeliversUncommittedRecords) {
   // deferred auto-commit must NOT lose data: the survivor inherits the
   // partition at the last committed offset and re-reads everything the
   // victim saw but never committed (at-least-once, duplicates allowed).
-  broker_->coordinator().set_session_timeout(std::chrono::milliseconds(150));
-  Producer producer(broker_, fabric_, "edge");
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    target.set_session_timeout(std::chrono::milliseconds(150));
+    Producer producer(target.endpoint, target.fabric, "edge");
 
-  Consumer survivor(broker_, fabric_, "cloud", "g-crash");
-  Consumer victim(broker_, fabric_, "cloud", "g-crash");
-  ASSERT_TRUE(survivor.subscribe({"t"}).ok());
-  ASSERT_TRUE(victim.subscribe({"t"}).ok());
-  (void)survivor.poll(std::chrono::milliseconds(1));
-  (void)victim.poll(std::chrono::milliseconds(1));
-  ASSERT_EQ(survivor.assignment().size() + victim.assignment().size(), 2u);
+    Consumer survivor(target.endpoint, target.fabric, "cloud", "g-crash");
+    Consumer victim(target.endpoint, target.fabric, "cloud", "g-crash");
+    ASSERT_TRUE(survivor.subscribe({"t"}).ok());
+    ASSERT_TRUE(victim.subscribe({"t"}).ok());
+    (void)survivor.poll(std::chrono::milliseconds(1));
+    (void)victim.poll(std::chrono::milliseconds(1));
+    ASSERT_EQ(survivor.assignment().size() + victim.assignment().size(), 2u);
 
-  auto key = [](int i) { return "k" + std::to_string(i); };
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(producer.send("t", i % 2, make_record(key(i))).ok());
-  }
-
-  // The victim drains its share once; under deferred auto-commit those
-  // positions are NOT yet committed when it crashes.
-  std::multiset<std::string> victim_saw;
-  for (const auto& r : victim.poll(std::chrono::milliseconds(50))) {
-    victim_saw.insert(r.record.key);
-  }
-  ASSERT_FALSE(victim_saw.empty());
-  victim.crash();  // hard stop: no commit, no leave-group
-
-  std::multiset<std::string> survivor_saw;
-  const auto deadline = Clock::now() + std::chrono::seconds(10);
-  while (survivor_saw.size() < 20 && Clock::now() < deadline) {
-    for (const auto& r : survivor.poll(std::chrono::milliseconds(50))) {
-      survivor_saw.insert(r.record.key);
+    auto key = [](int i) { return "k" + std::to_string(i); };
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(producer.send("t", i % 2, make_record(key(i))).ok());
     }
+
+    // The victim drains its share once; under deferred auto-commit those
+    // positions are NOT yet committed when it crashes.
+    std::multiset<std::string> victim_saw;
+    for (const auto& r : victim.poll(std::chrono::milliseconds(50))) {
+      victim_saw.insert(r.record.key);
+    }
+    ASSERT_FALSE(victim_saw.empty());
+    victim.crash();  // hard stop: no commit, no leave-group
+
+    std::multiset<std::string> survivor_saw;
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (survivor_saw.size() < 20 && Clock::now() < deadline) {
+      for (const auto& r : survivor.poll(std::chrono::milliseconds(50))) {
+        survivor_saw.insert(r.record.key);
+      }
+    }
+    // No loss: the survivor alone re-reads all 20 records — its own 10 plus
+    // every record the victim had seen but never committed.
+    ASSERT_EQ(survivor_saw.size(), 20u);
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_EQ(survivor_saw.count(key(i)), 1u) << "record " << key(i);
+    }
+    for (const auto& k : victim_saw) {
+      EXPECT_EQ(survivor_saw.count(k), 1u) << "redelivered " << k;
+    }
+    EXPECT_EQ(survivor.assignment().size(), 2u);
+    EXPECT_EQ(target.coordinator().members("g-crash").size(), 1u);
   }
-  // No loss: the survivor alone re-reads all 20 records — its own 10 plus
-  // every record the victim had seen but never committed.
-  ASSERT_EQ(survivor_saw.size(), 20u);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(survivor_saw.count(key(i)), 1u) << "record " << key(i);
-  }
-  for (const auto& k : victim_saw) {
-    EXPECT_EQ(survivor_saw.count(k), 1u) << "redelivered " << k;
-  }
-  EXPECT_EQ(survivor.assignment().size(), 2u);
-  EXPECT_EQ(broker_->coordinator().members("g-crash").size(), 1u);
 }
 
 TEST_F(ClientTest, FetchChargesDownlink) {
@@ -341,37 +373,40 @@ TEST_F(ClientTest, FetchChargesDownlink) {
 // The old code handed every partition the full budget, so a wide
 // assignment returned partitions x budget bytes per poll.
 TEST_F(ClientTest, PollSharesFetchMaxBytesAcrossPartitions) {
-  ASSERT_TRUE(
-      broker_->create_topic("wide", TopicConfig{.partitions = 3}).ok());
-  Producer producer(broker_, fabric_, "edge");
-  const std::uint64_t wire = make_record("k", 1024).wire_size();
-  for (std::uint32_t p = 0; p < 3; ++p) {
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(producer.send("wide", p, make_record("k", 1024)).ok());
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    ASSERT_TRUE(target.create_topic("wide", 3).ok());
+    Producer producer(target.endpoint, target.fabric, "edge");
+    const std::uint64_t wire = make_record("k", 1024).wire_size();
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(producer.send("wide", p, make_record("k", 1024)).ok());
+      }
     }
+
+    ConsumerConfig config;
+    config.fetch_max_bytes = 2 * wire + wire / 2;  // ~2.5 records
+    Consumer consumer(target.endpoint, target.fabric, "cloud", "g-budget",
+                      config);
+    ASSERT_TRUE(consumer.assign({{"wide", 0}, {"wide", 1}, {"wide", 2}}).ok());
+
+    auto first = consumer.poll(std::chrono::milliseconds(100));
+    ASSERT_FALSE(first.empty());
+    std::uint64_t bytes = 0;
+    for (const auto& r : first) bytes += r.record.wire_size();
+    // Shared budget: at most ~budget bytes plus one record of overshoot
+    // where the residual budget was smaller than a record — never the old
+    // 3 x 2.5 records.
+    EXPECT_LE(bytes, config.fetch_max_bytes + wire);
+    EXPECT_LT(first.size(), 6u);
+
+    // The budget resets per poll, so subsequent polls drain the rest.
+    std::size_t total = first.size();
+    for (int i = 0; i < 50 && total < 12; ++i) {
+      total += consumer.poll(std::chrono::milliseconds(20)).size();
+    }
+    EXPECT_EQ(total, 12u);
   }
-
-  ConsumerConfig config;
-  config.fetch_max_bytes = 2 * wire + wire / 2;  // ~2.5 records
-  Consumer consumer(broker_, fabric_, "cloud", "g-budget", config);
-  ASSERT_TRUE(consumer.assign({{"wide", 0}, {"wide", 1}, {"wide", 2}}).ok());
-
-  auto first = consumer.poll(std::chrono::milliseconds(100));
-  ASSERT_FALSE(first.empty());
-  std::uint64_t bytes = 0;
-  for (const auto& r : first) bytes += r.record.wire_size();
-  // Shared budget: at most ~budget bytes plus one record of overshoot
-  // where the residual budget was smaller than a record — never the old
-  // 3 x 2.5 records.
-  EXPECT_LE(bytes, config.fetch_max_bytes + wire);
-  EXPECT_LT(first.size(), 6u);
-
-  // The budget resets per poll, so subsequent polls drain the rest.
-  std::size_t total = first.size();
-  for (int i = 0; i < 50 && total < 12; ++i) {
-    total += consumer.poll(std::chrono::milliseconds(20)).size();
-  }
-  EXPECT_EQ(total, 12u);
 }
 
 // Producer-side batching: enqueued records coalesce into one transfer and

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "broker/broker.h"
 #include "broker/consumer.h"
 #include "broker/producer.h"
 #include "network/fabric.h"

@@ -1,6 +1,7 @@
 // Consumer pause/resume (backpressure) and scheduler priorities.
 #include <gtest/gtest.h>
 
+#include "client_targets.h"
 #include "broker/consumer.h"
 #include "broker/producer.h"
 #include "network/fabric.h"
@@ -32,22 +33,31 @@ class PauseResumeTest : public ::testing::Test {
 };
 
 TEST_F(PauseResumeTest, PausedPartitionIsSkipped) {
-  Consumer consumer(broker_, fabric_, "s", "g");
-  ASSERT_TRUE(consumer.assign({{"t", 0}, {"t", 1}}).ok());
-  send(0, "p0");
-  send(1, "p1");
+  // Pause/resume is pure client state: it holds on a cluster too.
+  for (const auto& target : client_targets(broker_, fabric_, "t", 2)) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "s");
+    Consumer consumer(target.endpoint, target.fabric, "s", "g");
+    ASSERT_TRUE(consumer.assign({{"t", 0}, {"t", 1}}).ok());
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      Record r;
+      r.key = "p" + std::to_string(p);
+      r.value = Bytes{1};
+      ASSERT_TRUE(producer.send("t", p, std::move(r)).ok());
+    }
 
-  ASSERT_TRUE(consumer.pause({"t", 0}).ok());
-  EXPECT_TRUE(consumer.paused({"t", 0}));
-  auto records = consumer.poll(std::chrono::milliseconds(50));
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].record.key, "p1");
+    ASSERT_TRUE(consumer.pause({"t", 0}).ok());
+    EXPECT_TRUE(consumer.paused({"t", 0}));
+    auto records = consumer.poll(std::chrono::milliseconds(50));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].record.key, "p1");
 
-  ASSERT_TRUE(consumer.resume({"t", 0}).ok());
-  EXPECT_FALSE(consumer.paused({"t", 0}));
-  records = consumer.poll(std::chrono::milliseconds(50));
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].record.key, "p0");
+    ASSERT_TRUE(consumer.resume({"t", 0}).ok());
+    EXPECT_FALSE(consumer.paused({"t", 0}));
+    records = consumer.poll(std::chrono::milliseconds(50));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].record.key, "p0");
+  }
 }
 
 TEST_F(PauseResumeTest, AllPausedPollReturnsEmptyAfterTimeout) {

@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "broker/consumer.h"
+#include "broker/producer.h"
 #include "cluster/broker_cluster.h"
-#include "cluster/cluster_client.h"
+#include "cluster/cluster_endpoint.h"
 #include "fault/chaos_engine.h"
 
 namespace pe::cluster {
@@ -121,13 +123,16 @@ TEST_F(ClusterFailoverTest, LeaderKillZeroCommittedOffsetLoss) {
   std::vector<std::pair<std::uint64_t, std::string>> acked;
   std::atomic<std::uint64_t> acked_count{0};
   std::thread producer_thread([&] {
-    ClusterProducer producer(cluster, RetryConfig{}, AckPolicy::kQuorum);
+    broker::Producer producer(
+        std::make_shared<ClusterEndpoint>(cluster, RetryConfig{},
+                                          AckPolicy::kQuorum),
+        nullptr, "edge");
     for (std::uint64_t i = 0; !stop.load(); ++i) {
       const std::string key = "m" + std::to_string(i);
       auto sent = producer.send("pipeline", 0, make_record(key));
       if (sent.ok()) {
         std::lock_guard<std::mutex> hold(acked_mutex);
-        acked.emplace_back(sent.value(), key);
+        acked.emplace_back(sent.value().offset, key);
         acked_count.fetch_add(1);
       }
     }
@@ -138,20 +143,20 @@ TEST_F(ClusterFailoverTest, LeaderKillZeroCommittedOffsetLoss) {
   // least that much after any failover.
   std::atomic<std::uint64_t> committed_floor{0};
   std::thread consumer_thread([&] {
-    ClusterConsumerConfig config;
+    broker::ConsumerConfig config;
     config.auto_commit = false;
-    ClusterConsumer consumer(cluster, "pipeline-readers", config);
+    broker::Consumer consumer(std::make_shared<ClusterEndpoint>(cluster),
+                              nullptr, "cloud", "pipeline-readers", config);
     if (!consumer.subscribe({"pipeline"}).ok()) return;
     while (!stop.load()) {
-      auto polled = consumer.poll(2ms);
-      if (!polled.ok()) continue;
+      (void)consumer.poll(2ms);
       if (consumer.commit().ok()) {
-        if (auto pos = consumer.position(tp)) {
-          committed_floor.store(*pos);
+        if (auto pos = consumer.position(tp); pos.ok()) {
+          committed_floor.store(pos.value());
         }
       }
     }
-    (void)consumer.close();
+    consumer.close();
   });
 
   // Let the pipeline build up steam, then kill the leader through the
@@ -221,23 +226,11 @@ TEST_F(ClusterFailoverTest, OffsetsReplayUnderCommitRace) {
   std::vector<std::thread> committers;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     committers.emplace_back([&, g] {
-      RetryConfig retry;
+      // Retries with a fresh epoch per attempt.
+      ClusterEndpoint endpoint(cluster);
       for (std::uint64_t offset = 1; !stop.load(); ++offset) {
-        Duration delay = retry.initial_backoff;
-        for (std::size_t attempt = 0; attempt < retry.max_attempts;
-             ++attempt) {
-          if (attempt > 0) {
-            Clock::sleep_scaled(delay);
-            delay = std::min(delay * 2, retry.max_backoff);
-          }
-          // Fresh epoch per attempt, exactly like ClusterConsumer.
-          auto s = cluster->commit_offset(groups[g], tp, offset,
-                                          cluster->offsets_epoch());
-          if (s.ok()) {
-            max_ok[g].store(offset);
-            break;
-          }
-          if (!s.is_transient()) break;
+        if (endpoint.commit_offset(groups[g], tp, offset).ok()) {
+          max_ok[g].store(offset);
         }
       }
     });

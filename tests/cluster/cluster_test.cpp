@@ -1,6 +1,6 @@
 // BrokerCluster functional coverage: deterministic sharding, leader
 // routing, synchronous + catch-up replication, ack policies, epoch
-// fencing, and the cluster clients' retry behavior.
+// fencing, and the Producer/Consumer pair over a ClusterEndpoint.
 #include "cluster/broker_cluster.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "cluster/cluster_client.h"
+#include "broker/consumer.h"
+#include "broker/producer.h"
+#include "cluster/cluster_endpoint.h"
 #include "cluster/shard_map.h"
 
 namespace pe::cluster {
@@ -239,7 +241,8 @@ TEST(ClusterTest, StaleEpochCommitIsFenced) {
 TEST(ClusterClientTest, ProducerRetriesAcrossLeaderKill) {
   auto cluster = std::make_shared<BrokerCluster>(fast_options());
   ASSERT_TRUE(cluster->create_topic("events").ok());
-  ClusterProducer producer(cluster);
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
+  broker::Producer producer(endpoint, nullptr, "edge");
   ASSERT_TRUE(producer.send("events", 0, make_record("before")).ok());
 
   auto leader = cluster->leader("events", 0);
@@ -251,7 +254,7 @@ TEST(ClusterClientTest, ProducerRetriesAcrossLeaderKill) {
   auto sent = producer.send("events", 0, make_record("after"));
   ASSERT_TRUE(sent.ok()) << sent.status().to_string();
   EXPECT_GE(cluster->failover_count(), 1u);
-  EXPECT_GE(producer.stats().retries, 1u);
+  EXPECT_GE(endpoint->stats().retries, 1u);
   auto new_leader = cluster->leader("events", 0);
   ASSERT_TRUE(new_leader.ok());
   EXPECT_NE(new_leader.value(), leader.value());
@@ -262,19 +265,19 @@ TEST(ClusterClientTest, ConsumerGroupEndToEnd) {
   ClusterTopicConfig two;
   two.partitions = 2;
   ASSERT_TRUE(cluster->create_topic("events", two).ok());
-  ClusterProducer producer(cluster);
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
+  broker::Producer producer(endpoint, nullptr, "edge");
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(producer
                     .send("events", static_cast<std::uint32_t>(i % 2),
                           make_record("k" + std::to_string(i)))
                     .ok());
   }
-  ClusterConsumer consumer(cluster, "readers");
+  broker::Consumer consumer(endpoint, nullptr, "cloud", "readers");
   ASSERT_TRUE(consumer.subscribe({"events"}).ok());
   std::size_t consumed = 0;
   ASSERT_TRUE(wait_until([&] {
-    auto polled = consumer.poll(5ms);
-    if (polled.ok()) consumed += polled.value().size();
+    consumed += consumer.poll(5ms).size();
     return consumed >= 40;
   }));
   EXPECT_EQ(consumed, 40u);
@@ -289,7 +292,10 @@ TEST(ClusterClientTest, ConsumerGroupEndToEnd) {
   ASSERT_TRUE(c0.has_value());
   ASSERT_TRUE(c1.has_value());
   EXPECT_EQ(*c0 + *c1, 40u);
-  EXPECT_TRUE(consumer.close().ok());
+  // close() left the group.
+  consumer.close();
+  auto left = endpoint->group_assignment("readers", consumer.id());
+  EXPECT_EQ(left.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
@@ -307,7 +313,8 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
 
   RetryConfig retry;
   retry.max_attempts = 16;
-  ClusterProducer producer(cluster, retry);
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster, retry);
+  broker::Producer producer(endpoint, nullptr, "edge");
 
   // The first batch is larger than the whole burst depth: admitted
   // against the full bucket, leaving the client's quota in debt...
@@ -318,13 +325,14 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
   ASSERT_TRUE(producer.send_batch("metrics", 0, std::move(big)).ok());
 
   // ...so the next send is throttled at the leader. The throttle is
-  // transient: the producer backs off by at least the broker's
+  // transient: the endpoint backs off by at least the broker's
   // retry-after hint and succeeds — the caller never sees an error.
   ASSERT_TRUE(producer.send("metrics", 0, make_record("tail")).ok());
   const auto stats = producer.stats();
+  const auto retries = endpoint->stats();
   EXPECT_EQ(stats.send_errors, 0u);
-  EXPECT_GE(stats.retries, 1u);
-  EXPECT_GE(stats.throttle_waits, 1u);
+  EXPECT_GE(retries.retries, 1u);
+  EXPECT_GE(retries.throttle_waits, 1u);
   EXPECT_EQ(stats.records_sent, 251u);
 
   // Quotas gate clients only; replication is exempt, so the throttled
@@ -332,6 +340,134 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
   ASSERT_TRUE(wait_until([&] {
     return cluster->replicas_converged("metrics", 0);
   }));
+}
+
+TEST(ClusterClientTest, FetchQuotaThrottlesPollAtTheLeader) {
+  // The consumer's id reaches the partition leader's fetch quota. 1 MB/s
+  // with a 10 kB burst, against 256 kB fetches: the first poll leaves the
+  // consumer ~0.25 s in debt, so the next one is refused.
+  auto options = fast_options();
+  options.admission.default_fetch_quota.bytes_per_sec = 1e6;
+  options.admission.default_fetch_quota.burst_seconds = 0.01;
+  auto cluster = std::make_shared<BrokerCluster>(options);
+  ClusterTopicConfig one;
+  one.partitions = 1;
+  ASSERT_TRUE(cluster->create_topic("metrics", one).ok());
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
+  broker::Producer producer(endpoint, nullptr, "edge");
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(producer
+                    .send("metrics", 0,
+                          make_record("k" + std::to_string(i), 20 * 1024))
+                    .ok());
+  }
+
+  broker::ConsumerConfig config;
+  config.max_poll_records = 1000;
+  config.fetch_max_bytes = 256 * 1024;
+  broker::Consumer consumer(endpoint, nullptr, "cloud", "g", config);
+  ASSERT_TRUE(consumer.assign({{"metrics", 0}}).ok());
+
+  Status throttle;
+  ASSERT_FALSE(consumer.poll(1s, &throttle).empty());
+  ASSERT_TRUE(throttle.ok()) << throttle.to_string();
+
+  EXPECT_TRUE(consumer.poll(50ms, &throttle).empty());
+  EXPECT_EQ(throttle.code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(throttle.retry_after(), Duration::zero());
+  EXPECT_EQ(consumer.stats().throttled_polls, 1u);
+  auto leader = cluster->leader("metrics", 0);
+  ASSERT_TRUE(leader.ok());
+  EXPECT_GE(cluster->broker(leader.value())->stats().fetch_throttled, 1u);
+}
+
+TEST(ClusterClientTest, OffsetForTimestampSurvivesLeaderKill) {
+  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+  ASSERT_TRUE(cluster->create_topic("events").ok());
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
+  broker::Producer producer(endpoint, nullptr, "edge");
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        producer.send("events", 0, make_record("k" + std::to_string(i))).ok());
+  }
+  ASSERT_TRUE(
+      wait_until([&] { return cluster->replicas_converged("events", 0); }));
+
+  auto leader = cluster->leader("events", 0);
+  ASSERT_TRUE(leader.ok());
+  broker::FetchSpec spec;
+  auto records = cluster->fetch(leader.value(), "events", 0, spec);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records.value().size(), 10u);
+  const std::uint64_t ts = records.value()[5].broker_timestamp_ns;
+  auto before = cluster->offset_for_timestamp("events", 0, ts);
+  ASSERT_TRUE(before.ok()) << before.status().to_string();
+  EXPECT_LE(before.value(), 5u);
+  EXPECT_GE(records.value()[before.value()].broker_timestamp_ns, ts);
+
+  // Replicas keep the leader's timestamps, so the new leader gives the
+  // same answer.
+  ASSERT_TRUE(cluster->kill_broker(leader.value()).ok());
+  ASSERT_TRUE(wait_until([&] {
+    return cluster->failover_count() >= 1 && cluster->all_partitions_led();
+  }));
+  auto after = cluster->offset_for_timestamp("events", 0, ts);
+  ASSERT_TRUE(after.ok()) << after.status().to_string();
+  EXPECT_EQ(after.value(), before.value());
+
+  // The consumer's seek_to_timestamp works on the cluster too.
+  broker::Consumer consumer(endpoint, nullptr, "cloud", "g-ts");
+  const broker::TopicPartition tp{"events", 0};
+  ASSERT_TRUE(consumer.assign({tp}).ok());
+  ASSERT_TRUE(consumer.seek_to_timestamp(tp, ts).ok());
+  EXPECT_EQ(consumer.position(tp).value(), before.value());
+}
+
+TEST(ClusterClientTest, LatestConsumerOnLeaderlessPartitionDoesNotRewind) {
+  // RF 1: killing the only replica leaves the partition leaderless.
+  auto cluster = std::make_shared<BrokerCluster>(fast_options(3, 1));
+  ASSERT_TRUE(cluster->create_topic("events").ok());
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
+  broker::Producer producer(endpoint, nullptr, "edge");
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        producer.send("events", 0, make_record("old" + std::to_string(i)))
+            .ok());
+  }
+  const BrokerId leader = cluster->leader("events", 0).value();
+  ASSERT_TRUE(cluster->kill_broker(leader).ok());
+  ASSERT_TRUE(wait_until(
+      [&] { return cluster->leader("events", 0).value() == kNoBroker; }));
+
+  broker::ConsumerConfig config;
+  config.offset_reset = broker::OffsetReset::kLatest;
+  broker::Consumer consumer(endpoint, nullptr, "cloud", "g-latest", config);
+  ASSERT_TRUE(consumer.subscribe({"events"}).ok());
+  const broker::TopicPartition tp{"events", 0};
+  std::vector<std::string> keys;
+  auto drain = [&] {
+    for (const auto& r : consumer.poll(1ms)) keys.push_back(r.record.key);
+  };
+  // No leader, so no end to start from: the position stays unresolved
+  // rather than defaulting to offset 0.
+  drain();
+  EXPECT_EQ(consumer.position(tp).status().code(), StatusCode::kUnavailable);
+
+  // Once the partition is led again a poll resolves the latest end.
+  ASSERT_TRUE(cluster->restore_broker(leader).ok());
+  ASSERT_TRUE(wait_until([&] {
+    drain();
+    return consumer.position(tp).ok();
+  }));
+  EXPECT_EQ(consumer.position(tp).value(), 5u);
+
+  // Only what is produced from now on is delivered: no history replay.
+  ASSERT_TRUE(producer.send("events", 0, make_record("new")).ok());
+  ASSERT_TRUE(wait_until([&] {
+    drain();
+    return !keys.empty();
+  }));
+  EXPECT_EQ(keys, std::vector<std::string>{"new"});
 }
 
 }  // namespace

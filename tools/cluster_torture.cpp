@@ -1,9 +1,10 @@
 // Cluster kill-loop torture: kill random brokers (leaders included) with
 // random torn tails, fail over, verify, restore, repeat.
 //
-// Each round produces a random batch at acks=quorum through the retrying
-// cluster producer and commits consumer-group offsets, then power-cuts a
-// randomly chosen member keeping a random fraction of its unsynced tail.
+// Each round produces a random batch at acks=quorum through a Producer
+// over a retrying ClusterEndpoint, commits consumer-group offsets through
+// the same endpoint, then power-cuts a randomly chosen member keeping a
+// random fraction of its unsynced tail.
 // After the failover the replication contract must hold:
 //   1. every acked record is still readable at its offset with the exact
 //      key that was sent (zero committed-record loss);
@@ -25,8 +26,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "broker/producer.h"
 #include "cluster/broker_cluster.h"
-#include "cluster/cluster_client.h"
+#include "cluster/cluster_endpoint.h"
 
 namespace {
 
@@ -123,8 +125,9 @@ int main(int argc, char** argv) {
   check(bc->create_topic(kTopic, topic_config).ok(), "create_topic");
 
   Rng rng(seed);
-  cluster::ClusterProducer producer(bc, cluster::RetryConfig{},
-                                    cluster::AckPolicy::kQuorum);
+  auto endpoint = std::make_shared<cluster::ClusterEndpoint>(
+      bc, cluster::RetryConfig{}, cluster::AckPolicy::kQuorum);
+  broker::Producer producer(endpoint, nullptr, "torture");
   // What the cluster owes us: acked records and OK-acked offset commits.
   std::vector<std::map<std::uint64_t, std::string>> acked(kPartitions);
   std::vector<std::uint64_t> next_seq(kPartitions, 0);
@@ -143,7 +146,7 @@ int main(int argc, char** argv) {
       auto sent = producer.send(kTopic, p, std::move(r));
       ++next_seq[p];
       if (sent.ok()) {
-        acked[p][sent.value()] = key;
+        acked[p][sent.value().offset] = key;
         ++total_acked;
       }
     }
@@ -152,15 +155,8 @@ int main(int argc, char** argv) {
     for (std::uint32_t p = 0; p < kPartitions; ++p) {
       auto hw = bc->high_watermark(kTopic, p);
       if (!hw.ok() || hw.value() == 0) continue;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        auto s = bc->commit_offset(kGroup, {kTopic, p}, hw.value(),
-                                   bc->offsets_epoch());
-        if (s.ok()) {
-          committed_floor[p] = std::max(committed_floor[p], hw.value());
-          break;
-        }
-        if (!s.is_transient()) break;
-        Clock::sleep_scaled(2ms);
+      if (endpoint->commit_offset(kGroup, {kTopic, p}, hw.value()).ok()) {
+        committed_floor[p] = std::max(committed_floor[p], hw.value());
       }
     }
 
