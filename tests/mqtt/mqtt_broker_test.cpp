@@ -25,6 +25,12 @@ struct MatchCase {
   bool matches;
 };
 
+// The default printer dumps the struct's raw bytes, pointer values included,
+// which made the test names (built from the printed value) change per run.
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  *os << c.filter << " vs " << c.topic;
+}
+
 class TopicMatchTest : public ::testing::TestWithParam<MatchCase> {};
 
 TEST_P(TopicMatchTest, MatchesPerMqttSpec) {
