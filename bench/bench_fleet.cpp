@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 
+#include "bench_env.h"
 #include "common/clock.h"
 #include "broker/broker.h"
 #include "scenario/fleet.h"
@@ -36,12 +37,7 @@ namespace {
 using namespace pe;
 namespace fs = std::filesystem;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const long long parsed = std::atoll(v);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
+using bench::env_size;
 
 double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_env.h"
 #include "common/clock.h"
 #include "common/queue.h"
 #include "telemetry/json.h"
@@ -37,12 +38,7 @@ namespace {
 
 using namespace pe;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const long long parsed = std::atoll(v);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
+using bench::env_size;
 
 struct RunResult {
   std::uint64_t records = 0;

@@ -15,18 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_env.h"
 #include "common/logging.h"
 #include "core/functions.h"
 #include "core/pipeline.h"
 
 namespace pe::bench {
-
-inline std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const long long parsed = std::atoll(v);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
 
 inline double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);

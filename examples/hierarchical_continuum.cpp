@@ -5,14 +5,15 @@
 // Topology: 4 edge devices -> fog gateway (pre-aggregation, 8x) ->
 // regional cloud (outlier scoring with k-means) -> central cloud
 // (auto-encoder re-scoring of suspicious traffic). Each layer runs on its
-// own pilot at its own site; each hop pays its own link. The run report
-// shows per-stage input/output counts and processing costs, plus the full
+// own pilot at its own site; each hop pays its own link. The fog and
+// regional layers are forwarding stages of an EdgeToCloudPipeline; the
+// central cloud is its Listing-2 processing stage. The run report shows
+// per-stage input/output counts and processing costs, plus the full
 // chain's end-to-end latency.
 //
 // Build & run:  ./build/examples/hierarchical_continuum
 #include <cstdio>
 
-#include "core/multistage.h"
 #include "pilot_edge.h"
 
 int main() {
@@ -64,15 +65,16 @@ int main() {
     return 1;
   }
 
-  core::MultiStageConfig config;
+  core::PipelineConfig config;
   config.edge_devices = 4;
   config.messages_per_device = 6;
   config.rows_per_message = 2000;
+  config.processing_tasks = 2;
   config.run_timeout = std::chrono::minutes(5);
 
-  core::MultiStagePipeline pipeline(config);
+  core::EdgeToCloudPipeline pipeline(config);
   pipeline.set_fabric(fabric)
-      .set_pilot_broker(broker)
+      .set_pilot_cloud_broker(broker)
       .set_pilot_edge(devices)
       .set_produce_function(core::functions::make_generator_produce({}, 2000))
       .add_stage({.name = "fog-aggregate",
@@ -82,11 +84,10 @@ int main() {
                   .pilot = regional,
                   .process = core::functions::make_model_process(
                       ml::ModelKind::kKMeans)})
-      .add_stage({.name = "core-autoencoder",
-                  .pilot = core,
-                  .process = core::functions::make_model_process(
-                      ml::ModelKind::kAutoEncoder),
-                  .tasks = 2});
+      // Central cloud: auto-encoder re-scoring on 2 tasks.
+      .set_pilot_cloud_processing(core)
+      .set_process_cloud_function(
+          core::functions::make_model_process(ml::ModelKind::kAutoEncoder));
 
   std::printf("running 4-device -> fog -> regional -> core chain...\n\n");
   auto report = pipeline.run();
@@ -95,6 +96,10 @@ int main() {
     return 1;
   }
   std::printf("%s\n", report.value().to_string().c_str());
+  if (!report.value().status.ok()) {
+    std::fprintf(stderr, "%s\n", report.value().status.to_string().c_str());
+    return 1;
+  }
 
   std::printf("link traffic (who paid for which hop):\n");
   for (const auto& [name, stats] : fabric->link_stats()) {

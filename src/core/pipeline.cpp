@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "broker/consumer.h"
 #include "broker/producer.h"
@@ -12,31 +13,83 @@
 
 namespace pe::core {
 
+namespace {
+
+// Bounded retry on transient broker failures (offline partition,
+// partitioned link) so a short fault does not kill the sender. The
+// per-attempt copy shares the encoded payload — a retry costs a refcount
+// bump, not a re-serialization.
+Status send_with_retry(broker::Producer& producer, const std::string& topic,
+                       std::uint32_t partition, const broker::Record& record,
+                       const exec::TaskContext& tctx) {
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    broker::Record copy = record;
+    auto meta = producer.send(topic, partition, std::move(copy));
+    if (meta.ok()) return Status::Ok();
+    if (!meta.status().is_transient() || attempt >= 5 ||
+        tctx.stop_requested()) {
+      return meta.status();
+    }
+    Clock::sleep_scaled(std::chrono::milliseconds(5));
+  }
+}
+
+// Compact summary published to the results topic.
+broker::Record result_record(std::uint64_t message_id,
+                             const ProcessResult& result) {
+  ResultRecord summary;
+  summary.message_id = message_id;
+  summary.rows = result.block.rows;
+  summary.outliers = result.outliers;
+  summary.processed_ns = Clock::now_ns();
+  if (!result.scores.empty()) {
+    double sum = 0.0, max = result.scores.front();
+    for (double s : result.scores) {
+      sum += s;
+      if (s > max) max = s;
+    }
+    summary.score_mean = sum / static_cast<double>(result.scores.size());
+    summary.score_max = max;
+  }
+  broker::Record out;
+  out.key = result.block.producer_id;
+  out.value = summary.encode();
+  return out;
+}
+
+}  // namespace
+
 EdgeToCloudPipeline::EdgeToCloudPipeline(PipelineConfig config)
-    : id_(next_pipeline_id()), config_(std::move(config)) {}
+    : id_(next_pipeline_id()), config_(std::move(config)) {
+  stages_.push_back({.name = "proc",
+                     .pilot = nullptr,
+                     .process = nullptr,
+                     .tasks = config_.processing_tasks});
+  stage_states_.push_back(std::make_unique<StageState>());
+}
 
 EdgeToCloudPipeline::~EdgeToCloudPipeline() { stop(); }
 
 EdgeToCloudPipeline& EdgeToCloudPipeline::set_pilot_edge(res::PilotPtr p) {
-  MutexLock lock(pilots_mutex_);
+  MutexLock lock(wiring_mutex_);
   edge_pilots_.clear();
   edge_pilots_.push_back(std::move(p));
   return *this;
 }
 EdgeToCloudPipeline& EdgeToCloudPipeline::add_pilot_edge(res::PilotPtr p) {
-  MutexLock lock(pilots_mutex_);
+  MutexLock lock(wiring_mutex_);
   edge_pilots_.push_back(std::move(p));
   return *this;
 }
 EdgeToCloudPipeline& EdgeToCloudPipeline::set_pilot_cloud_processing(
     res::PilotPtr p) {
-  MutexLock lock(pilots_mutex_);
-  cloud_pilot_ = std::move(p);
+  MutexLock lock(wiring_mutex_);
+  stages_.back().pilot = std::move(p);
   return *this;
 }
 EdgeToCloudPipeline& EdgeToCloudPipeline::set_pilot_cloud_broker(
     res::PilotPtr p) {
-  MutexLock lock(pilots_mutex_);
+  MutexLock lock(wiring_mutex_);
   broker_pilot_ = std::move(p);
   return *this;
 }
@@ -52,8 +105,14 @@ EdgeToCloudPipeline& EdgeToCloudPipeline::set_process_edge_function(
 }
 EdgeToCloudPipeline& EdgeToCloudPipeline::set_process_cloud_function(
     ProcessFnFactory f) {
-  MutexLock lock(factory_mutex_);
-  cloud_factory_ = std::move(f);
+  MutexLock lock(wiring_mutex_);
+  stages_.back().process = std::move(f);
+  return *this;
+}
+EdgeToCloudPipeline& EdgeToCloudPipeline::add_stage(StageSpec stage) {
+  MutexLock lock(wiring_mutex_);
+  stages_.insert(stages_.end() - 1, std::move(stage));
+  stage_states_.push_back(std::make_unique<StageState>());
   return *this;
 }
 EdgeToCloudPipeline& EdgeToCloudPipeline::set_fabric(
@@ -67,24 +126,30 @@ EdgeToCloudPipeline& EdgeToCloudPipeline::set_pilot_manager(
   return *this;
 }
 
+std::string EdgeToCloudPipeline::stage_topic(std::size_t stage) const {
+  if (stage == 0) return config_.topic;
+  return config_.topic + "-s" + std::to_string(stage);
+}
+
 Status EdgeToCloudPipeline::validate() const {
   if (!fabric_) return Status::InvalidArgument("no fabric set");
   {
-    MutexLock lock(pilots_mutex_);
+    MutexLock lock(wiring_mutex_);
     if (edge_pilots_.empty()) return Status::InvalidArgument("no edge pilot");
-    if (!cloud_pilot_) {
-      return Status::InvalidArgument("no cloud processing pilot");
-    }
     if (!broker_pilot_) return Status::InvalidArgument("no broker pilot");
+    for (const auto& stage : stages_) {
+      if (!stage.pilot) {
+        return Status::InvalidArgument("stage '" + stage.name +
+                                       "' has no pilot");
+      }
+      if (!stage.process) {
+        return Status::InvalidArgument("stage '" + stage.name +
+                                       "' has no process function");
+      }
+    }
   }
   if (!produce_factory_) {
     return Status::InvalidArgument("no produce function");
-  }
-  {
-    MutexLock lock(factory_mutex_);
-    if (!cloud_factory_) {
-      return Status::InvalidArgument("no cloud processing function");
-    }
   }
   if (config_.edge_devices == 0) {
     return Status::InvalidArgument("need >= 1 edge device");
@@ -104,21 +169,23 @@ Status EdgeToCloudPipeline::start() {
   if (auto s = validate(); !s.ok()) return s;
 
   // Snapshot the pilot bindings; the waits below can block, so they must
-  // not run under pilots_mutex_ (recovery rebinds would stall behind us).
+  // not run under wiring_mutex_ (recovery rebinds would stall behind us).
   std::vector<res::PilotPtr> edge_pilots;
-  res::PilotPtr cloud_pilot;
+  std::vector<res::PilotPtr> stage_pilots;
   res::PilotPtr broker_pilot;
   {
-    MutexLock lock(pilots_mutex_);
+    MutexLock lock(wiring_mutex_);
     edge_pilots = edge_pilots_;
-    cloud_pilot = cloud_pilot_;
+    for (const auto& stage : stages_) stage_pilots.push_back(stage.pilot);
     broker_pilot = broker_pilot_;
   }
 
   for (const auto& p : edge_pilots) {
     if (auto s = p->wait_active(); !s.ok()) return s;
   }
-  if (auto s = cloud_pilot->wait_active(); !s.ok()) return s;
+  for (const auto& p : stage_pilots) {
+    if (auto s = p->wait_active(); !s.ok()) return s;
+  }
   if (auto s = broker_pilot->wait_active(); !s.ok()) return s;
 
   broker_ = broker_pilot->broker();
@@ -133,9 +200,11 @@ Status EdgeToCloudPipeline::start() {
           : static_cast<std::uint32_t>(config_.edge_devices);
   broker::TopicConfig topic_config;
   topic_config.partitions = effective_partitions_;
-  if (auto s = broker_->create_topic(config_.topic, topic_config);
-      !s.ok() && s.code() != StatusCode::kAlreadyExists) {
-    return s;
+  for (std::size_t k = 0; k < stage_states_.size(); ++k) {
+    if (auto s = broker_->create_topic(stage_topic(k), topic_config);
+        !s.ok() && s.code() != StatusCode::kAlreadyExists) {
+      return s;
+    }
   }
 
   if (config_.emit_results) {
@@ -166,7 +235,6 @@ Status EdgeToCloudPipeline::start() {
   }
   collector_ = std::make_shared<tel::SpanCollector>();
   produced_.store(0);
-  processed_.store(0);
   outliers_.store(0);
   errors_.store(0);
   duplicates_.store(0);
@@ -175,13 +243,18 @@ Status EdgeToCloudPipeline::start() {
   producers_done_.store(false);
   producer_handles_.clear();
   {
-    MutexLock lock(pilots_mutex_);
+    MutexLock lock(wiring_mutex_);
     processing_handles_.clear();
-    next_processing_index_ = 0;
   }
-  {
-    MutexLock lock(processed_ids_mutex_);
-    processed_ids_.clear();
+  for (const auto& owned : stage_states_) {
+    StageState& state = *owned;
+    state.handled.store(0);
+    state.out.store(0);
+    state.errors.store(0);
+    state.process_ns.store(0);
+    state.spawned.store(0);
+    MutexLock lock(state.seen_mutex);
+    state.seen.clear();
   }
 
   // Capacity sanity: warn when tasks will queue on cores (would distort
@@ -194,24 +267,29 @@ Status EdgeToCloudPipeline::start() {
                             << " edge cores — devices will queue");
   }
 
-  const std::size_t n_processing = config_.processing_tasks != 0
-                                       ? config_.processing_tasks
-                                       : effective_partitions_;
-  if (cloud_pilot->granted_cores() < n_processing) {
-    PE_LOG_WARN("pipeline " << id_ << ": " << n_processing
-                            << " processing tasks on "
-                            << cloud_pilot->granted_cores()
-                            << " cloud cores — tasks will queue");
-  }
-
   running_.store(true);
 
-  // Processing tasks first so consumers are polling when data arrives.
-  for (std::size_t t = 0; t < n_processing; ++t) {
-    if (auto s = scale_processing(1); !s.ok()) {
-      stop();
-      return s;
+  // Processing stages first, last stage first, so consumers are polling
+  // when data arrives.
+  std::size_t n_processing = 0;
+  Status spawn_status = Status::Ok();
+  {
+    MutexLock lock(wiring_mutex_);
+    for (std::size_t k = stages_.size(); k-- > 0 && spawn_status.ok();) {
+      const std::size_t tasks = stage_tasks(k);
+      n_processing += tasks;
+      if (stages_[k].pilot->granted_cores() < tasks) {
+        PE_LOG_WARN("pipeline " << id_ << ": " << tasks << " "
+                                << stages_[k].name << " tasks on "
+                                << stages_[k].pilot->granted_cores()
+                                << " cores — tasks will queue");
+      }
+      spawn_status = scale_stage_locked(k, tasks);
     }
+  }
+  if (!spawn_status.ok()) {
+    stop();
+    return spawn_status;
   }
 
   // Producer (edge device) tasks, round-robin across edge pilots.
@@ -260,25 +338,30 @@ Status EdgeToCloudPipeline::start() {
 void EdgeToCloudPipeline::on_pilot_replaced(const res::PilotPtr& failed,
                                             const res::PilotPtr& replacement) {
   if (!running_.load(std::memory_order_acquire)) return;
-  MutexLock lock(pilots_mutex_);
-  if (cloud_pilot_ && failed.get() == cloud_pilot_.get()) {
-    cloud_pilot_ = replacement;
-    recoveries_.fetch_add(1);
-    // Respawn the processing fleet on the replacement cluster. The new
-    // consumers rejoin "group-<id>", trigger a rebalance, and resume from
-    // the committed offsets; uncommitted records are redelivered and
+  MutexLock lock(wiring_mutex_);
+  bool rebound = false;
+  for (std::size_t k = 0; k < stages_.size(); ++k) {
+    if (failed.get() != stages_[k].pilot.get()) continue;
+    stages_[k].pilot = replacement;
+    rebound = true;
+    // Respawn the stage's tasks on the replacement cluster. The new
+    // consumers rejoin the stage's group, trigger a rebalance, and resume
+    // from the committed offsets; uncommitted records are redelivered and
     // absorbed by the message-id dedup (effectively-once survives the
-    // failover).
-    const std::size_t n = config_.processing_tasks != 0
-                              ? config_.processing_tasks
-                              : effective_partitions_;
-    PE_LOG_INFO("pipeline " << id_ << ": cloud pilot " << failed->id()
-                            << " replaced by " << replacement->id()
-                            << "; respawning " << n << " processing tasks");
-    if (auto s = scale_processing_locked(n); !s.ok()) {
-      PE_LOG_WARN("pipeline " << id_ << ": processing respawn failed: "
-                              << s.to_string());
+    // failover). The old tasks' handled counts stay, so the stage still
+    // drains once it has handled everything upstream passed on.
+    const std::size_t n = stage_tasks(k);
+    PE_LOG_INFO("pipeline " << id_ << ": " << stages_[k].name << " pilot "
+                            << failed->id() << " replaced by "
+                            << replacement->id() << "; respawning " << n
+                            << " tasks");
+    if (auto s = scale_stage_locked(k, n); !s.ok()) {
+      PE_LOG_WARN("pipeline " << id_ << ": " << stages_[k].name
+                              << " respawn failed: " << s.to_string());
     }
+  }
+  if (rebound) {
+    recoveries_.fetch_add(1);
     return;
   }
   if (broker_pilot_ && failed.get() == broker_pilot_.get()) {
@@ -303,32 +386,43 @@ void EdgeToCloudPipeline::on_pilot_replaced(const res::PilotPtr& failed,
   }
 }
 
+std::size_t EdgeToCloudPipeline::stage_tasks(std::size_t stage) const {
+  return stages_[stage].tasks != 0 ? stages_[stage].tasks
+                                   : effective_partitions_;
+}
+
 exec::TaskSpec EdgeToCloudPipeline::make_processing_task(
-    std::size_t task_index) {
+    std::size_t stage, std::size_t task_index) {
   exec::TaskSpec spec;
-  spec.name = id_ + "-proc-" + std::to_string(task_index);
+  spec.name =
+      id_ + "-" + stages_[stage].name + "-" + std::to_string(task_index);
   spec.cores = 1;
   spec.memory_gb = 2.0;
-  const net::SiteId site = cloud_pilot_->site();
-  spec.fn = [this, task_index, site](exec::TaskContext& tctx) {
-    return processing_body(tctx, task_index, site);
+  const net::SiteId site = stages_[stage].pilot->site();
+  spec.fn = [this, stage, task_index, site](exec::TaskContext& tctx) {
+    return processing_body(tctx, stage, task_index, site);
   };
   return spec;
 }
 
 Status EdgeToCloudPipeline::scale_processing(std::size_t count) {
-  MutexLock lock(pilots_mutex_);
-  return scale_processing_locked(count);
+  MutexLock lock(wiring_mutex_);
+  return scale_stage_locked(stages_.size() - 1, count);
 }
 
-Status EdgeToCloudPipeline::scale_processing_locked(std::size_t count) {
+Status EdgeToCloudPipeline::scale_stage_locked(std::size_t stage,
+                                               std::size_t count) {
   if (!running_.load()) {
     return Status::FailedPrecondition("pipeline not running");
   }
-  auto cluster = cloud_pilot_->cluster();
-  if (!cluster) return Status::Internal("cloud pilot without cluster");
+  auto cluster = stages_[stage].pilot->cluster();
+  if (!cluster) {
+    return Status::Internal("stage '" + stages_[stage].name +
+                            "' pilot without cluster");
+  }
   for (std::size_t i = 0; i < count; ++i) {
-    auto handle = cluster->submit(make_processing_task(next_processing_index_++));
+    auto handle = cluster->submit(make_processing_task(
+        stage, stage_states_[stage]->spawned.fetch_add(1)));
     if (!handle.ok()) return handle.status();
     processing_handles_.push_back(std::move(handle).value());
   }
@@ -338,8 +432,8 @@ Status EdgeToCloudPipeline::scale_processing_locked(std::size_t count) {
 void EdgeToCloudPipeline::replace_process_cloud_function(
     ProcessFnFactory factory) {
   {
-    MutexLock lock(factory_mutex_);
-    cloud_factory_ = std::move(factory);
+    MutexLock lock(wiring_mutex_);
+    stages_.back().process = std::move(factory);
   }
   cloud_factory_generation_.fetch_add(1, std::memory_order_release);
   PE_LOG_INFO("pipeline " << id_ << ": cloud processing function replaced");
@@ -420,28 +514,11 @@ Status EdgeToCloudPipeline::producer_body(exec::TaskContext& tctx,
       record.key = device_id;
       record.client_timestamp_ns = block.produced_ns;
       record.value = data::Codec::encode_shared(block);
-      // Bounded retry on transient broker failures (offline partition,
-      // partitioned link) so a short fault does not kill the producer.
-      // The per-attempt copy shares the encoded payload — a retry costs a
-      // refcount bump, not a re-serialization.
-      Status send_status = Status::Ok();
-      for (std::uint32_t attempt = 0;; ++attempt) {
-        broker::Record copy = record;
-        auto meta = producer.send(config_.topic, partition, std::move(copy));
-        if (meta.ok()) {
-          send_status = Status::Ok();
-          break;
-        }
-        send_status = meta.status();
-        if (!send_status.is_transient() || attempt >= 5 ||
-            tctx.stop_requested()) {
-          break;
-        }
-        Clock::sleep_scaled(std::chrono::milliseconds(5));
-      }
-      if (!send_status.ok()) {
+      if (auto s = send_with_retry(producer, config_.topic, partition, record,
+                                   tctx);
+          !s.ok()) {
         errors_.fetch_add(1);
-        return send_status;
+        return s;
       }
     }
     collector_->on_sent(message_id, Clock::now_ns());
@@ -455,27 +532,37 @@ Status EdgeToCloudPipeline::producer_body(exec::TaskContext& tctx,
 }
 
 Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
+                                            std::size_t stage,
                                             std::size_t task_index,
                                             const net::SiteId& site) {
-  const std::string task_id = "proc-" + std::to_string(task_index);
+  StageState& state = *stage_states_[stage];
+  const bool terminal = stage + 1 == stage_states_.size();
+  const std::string topic = stage_topic(stage);
+  const std::string next_topic = terminal ? "" : stage_topic(stage + 1);
 
-  ProcessFn process;
+  // Factories are user code: copy under the lock, call outside it.
+  ProcessFnFactory factory;
+  std::string task_id;
   std::uint64_t local_generation;
   {
-    MutexLock lock(factory_mutex_);
-    process = cloud_factory_();
+    MutexLock lock(wiring_mutex_);
+    factory = stages_[stage].process;
+    task_id = stages_[stage].name + "-" + std::to_string(task_index);
     local_generation = cloud_factory_generation_.load();
   }
+  ProcessFn process = factory();
 
   broker::ConsumerConfig consumer_config;
   consumer_config.max_poll_records = 16;
-  broker::Consumer consumer(broker_, fabric_, site, "group-" + id_,
-                            consumer_config);
-  if (auto s = consumer.subscribe({config_.topic}); !s.ok()) return s;
-  std::unique_ptr<broker::Producer> results_producer;
-  if (config_.emit_results) {
-    results_producer =
-        std::make_unique<broker::Producer>(broker_, fabric_, site);
+  std::string group = "group-" + id_;
+  if (stage != 0) group += "-" + std::to_string(stage);
+  broker::Consumer consumer(broker_, fabric_, site, group, consumer_config);
+  if (auto s = consumer.subscribe({topic}); !s.ok()) return s;
+  // Forwarding stages send to the next stage's topic; the cloud stage
+  // may publish ResultRecords.
+  std::unique_ptr<broker::Producer> producer;
+  if (!terminal || config_.emit_results) {
+    producer = std::make_unique<broker::Producer>(broker_, fabric_, site);
   }
 
   std::shared_ptr<ps::ParameterClient> param_client;
@@ -488,14 +575,17 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
   fctx.bind(id_, task_id, site, param_client, tctx.stop_flag());
 
   std::uint64_t invocation = 0;
-  while (!tctx.stop_requested() && !work_finished()) {
+  while (!tctx.stop_requested() && !stage_done(stage)) {
     // Hot-swap: pick up a replaced processing function (paper: functions
     // can be exchanged at runtime without a new pilot).
-    if (cloud_factory_generation_.load(std::memory_order_acquire) !=
-        local_generation) {
-      MutexLock lock(factory_mutex_);
-      process = cloud_factory_();
-      local_generation = cloud_factory_generation_.load();
+    if (terminal && cloud_factory_generation_.load(
+                        std::memory_order_acquire) != local_generation) {
+      {
+        MutexLock lock(wiring_mutex_);
+        factory = stages_[stage].process;
+        local_generation = cloud_factory_generation_.load();
+      }
+      process = factory();
     }
 
     auto records = consumer.poll(config_.poll_timeout);
@@ -503,8 +593,8 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
       const std::uint64_t now = Clock::now_ns();
       auto decoded = data::Codec::decode(record.record.value);
       if (!decoded.ok()) {
-        errors_.fetch_add(1);
-        processed_.fetch_add(1);  // count it as handled so the run drains
+        state.errors.fetch_add(1);
+        state.handled.fetch_add(1);  // count it as handled so the run drains
         PE_LOG_WARN("decode failed: " << decoded.status().to_string());
         continue;
       }
@@ -512,18 +602,23 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
       {
         // Effectively-once: skip broker redeliveries (rebalances can
         // redeliver records consumed but not yet committed).
-        MutexLock lock(processed_ids_mutex_);
-        if (!processed_ids_.insert(block.message_id).second) {
+        MutexLock lock(state.seen_mutex);
+        if (!state.seen.insert(block.message_id).second) {
           duplicates_.fetch_add(1);
           continue;
         }
       }
-      collector_->on_broker(block.message_id, record.broker_timestamp_ns);
-      collector_->on_consumed(block.message_id, now);
+      const std::uint64_t message_id = block.message_id;
+      // The span covers the chain: the first stage stamps broker arrival
+      // and process start, the cloud stage stamps process end.
+      if (stage == 0) {
+        collector_->on_broker(message_id, record.broker_timestamp_ns);
+        collector_->on_consumed(message_id, now);
+      }
 
       fctx.set_invocation(invocation++);
-      const std::uint64_t message_id = block.message_id;
-      collector_->on_process_start(message_id, Clock::now_ns());
+      const std::uint64_t start_ns = Clock::now_ns();
+      if (stage == 0) collector_->on_process_start(message_id, start_ns);
       // Transient processing failures are retried in place (the block is
       // copied per attempt because process() consumes it); non-transient
       // failures and exhausted retries route the original record to the
@@ -539,40 +634,44 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
            ++attempt) {
         result = attempt_process();
       }
-      collector_->on_process_end(message_id, Clock::now_ns());
-      if (!result.ok()) {
-        errors_.fetch_add(1);
-        dead_letter_record(record, result.status());
-      } else {
+      const std::uint64_t end_ns = Clock::now_ns();
+      if (terminal) collector_->on_process_end(message_id, end_ns);
+      state.process_ns.fetch_add(end_ns - start_ns);
+
+      Status outcome = result.status();
+      if (outcome.ok()) {
         outliers_.fetch_add(result.value().outliers);
-        if (results_producer) {
-          ResultRecord summary;
-          summary.message_id = message_id;
-          summary.rows = result.value().block.rows;
-          summary.outliers = result.value().outliers;
-          summary.processed_ns = Clock::now_ns();
-          if (!result.value().scores.empty()) {
-            double sum = 0.0, max = result.value().scores.front();
-            for (double s : result.value().scores) {
-              sum += s;
-              if (s > max) max = s;
-            }
-            summary.score_mean =
-                sum / static_cast<double>(result.value().scores.size());
-            summary.score_max = max;
-          }
+        if (!terminal) {
+          data::DataBlock forward = std::move(result.value().block);
+          forward.message_id = message_id;  // identity survives the chain
           broker::Record out;
-          out.key = result.value().block.producer_id;
-          out.value = summary.encode();
-          if (auto meta = results_producer->send(results_topic(), record.partition,
-                                                 std::move(out));
+          out.key = forward.producer_id;
+          out.client_timestamp_ns = forward.produced_ns;
+          out.value = data::Codec::encode_shared(forward);
+          auto partition = broker_->select_partition(next_topic, out);
+          outcome = partition.ok()
+                        ? send_with_retry(*producer, next_topic,
+                                          partition.value(), out, tctx)
+                        : partition.status();
+        } else if (producer) {
+          if (auto meta = producer->send(
+                  results_topic(), record.partition,
+                  result_record(message_id, result.value()));
               !meta.ok()) {
             PE_LOG_WARN("result emit failed: "
                         << meta.status().to_string());
           }
         }
       }
-      processed_.fetch_add(1);
+      // `out` before `handled`: once a stage is done, its `out` is final
+      // for the stage downstream.
+      if (outcome.ok()) {
+        state.out.fetch_add(1);
+      } else {
+        state.errors.fetch_add(1);
+        dead_letter_record(record, outcome);
+      }
+      state.handled.fetch_add(1);
       if (tctx.stop_requested()) break;
     }
   }
@@ -601,9 +700,15 @@ void EdgeToCloudPipeline::dead_letter_record(
   }
 }
 
-bool EdgeToCloudPipeline::work_finished() const {
-  return producers_done_.load(std::memory_order_acquire) &&
-         processed_.load() >= produced_.load();
+bool EdgeToCloudPipeline::stage_done(std::size_t stage) const {
+  // Upstream first: once it is done, its output count is final.
+  const bool upstream_done =
+      stage == 0 ? producers_done_.load(std::memory_order_acquire)
+                 : stage_done(stage - 1);
+  if (!upstream_done) return false;
+  const std::uint64_t upstream =
+      stage == 0 ? produced_.load() : stage_states_[stage - 1]->out.load();
+  return stage_states_[stage]->handled.load() >= upstream;
 }
 
 Status EdgeToCloudPipeline::wait() {
@@ -633,7 +738,7 @@ Status EdgeToCloudPipeline::wait() {
   // handles under the lock: recovery may have appended re-spawned tasks.
   std::vector<exec::TaskHandle> handles;
   {
-    MutexLock lock(pilots_mutex_);
+    MutexLock lock(wiring_mutex_);
     handles = processing_handles_;
   }
   for (auto& handle : handles) {
@@ -657,7 +762,7 @@ void EdgeToCloudPipeline::stop() {
   }
   std::vector<exec::TaskHandle> handles;
   {
-    MutexLock lock(pilots_mutex_);
+    MutexLock lock(wiring_mutex_);
     handles = processing_handles_;
   }
   for (auto& handle : producer_handles_) handle.request_stop();
@@ -682,7 +787,7 @@ PipelineRunReport EdgeToCloudPipeline::report(const std::string& label) const {
                                 label.empty() ? id_ : label);
   }
   out.messages_produced = produced_.load();
-  out.messages_processed = processed_.load();
+  out.messages_processed = messages_processed();
   out.outliers_detected = outliers_.load();
   out.processing_errors = errors_.load();
   out.duplicates_skipped = duplicates_.load();
@@ -690,6 +795,22 @@ PipelineRunReport EdgeToCloudPipeline::report(const std::string& label) const {
   out.pilot_recoveries = recoveries_.load();
   if (broker_) out.broker = broker_->stats();
   if (param_server_) out.parameter_server = param_server_->stats();
+  MutexLock lock(wiring_mutex_);
+  for (std::size_t k = 0; k < stages_.size(); ++k) {
+    const StageState& state = *stage_states_[k];
+    StageReport stage;
+    stage.name = stages_[k].name;
+    stage.messages_in = state.handled.load();
+    stage.messages_out = state.out.load();
+    stage.errors = state.errors.load();
+    if (stage.messages_in != 0) {
+      stage.mean_processing_ms = static_cast<double>(state.process_ns.load()) /
+                                 1e6 /
+                                 static_cast<double>(stage.messages_in);
+    }
+    out.processing_errors += stage.errors;
+    out.stages.push_back(std::move(stage));
+  }
   return out;
 }
 
@@ -709,6 +830,22 @@ Result<PipelineRunReport> EdgeToCloudPipeline::run() {
 std::shared_ptr<ps::ParameterServer> EdgeToCloudPipeline::parameter_server()
     const {
   return param_server_;
+}
+
+std::string PipelineRunReport::to_string() const {
+  std::ostringstream oss;
+  oss.setf(std::ios::fixed);
+  oss.precision(2);
+  const std::uint64_t completed = stages.empty() ? 0 : stages.back().messages_out;
+  oss << "pipeline run: " << messages_produced << " produced, " << completed
+      << " completed chain; e2e " << run.end_to_end_ms.mean << " ms mean (p99 "
+      << run.end_to_end_ms.p99 << ")\n";
+  for (const auto& stage : stages) {
+    oss << "  stage " << stage.name << ": in " << stage.messages_in
+        << ", out " << stage.messages_out << ", errors " << stage.errors
+        << ", proc " << stage.mean_processing_ms << " ms\n";
+  }
+  return oss.str();
 }
 
 }  // namespace pe::core

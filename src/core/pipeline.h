@@ -5,6 +5,16 @@
 // at every stage. Supports the paper's dynamism hooks: processing
 // functions can be replaced at runtime without new pilots, and processing
 // capacity can be scaled out while the pipeline runs.
+//
+// Beyond two layers (paper §V: "generalize the abstraction to arbitrary
+// architectures and topologies"), add_stage() inserts forwarding stages
+// between the devices and the cloud stage, each on its own pilot and
+// connected by its own topic:
+//
+//   devices --> [topic] --stage 0--> [topic-s1] --stage 1--> ... --> cloud
+//
+// Every stage runs the same loop (decode, message-id dedup, transient
+// retry, dead-letter queue); the cloud stage is always the last one.
 #pragma once
 
 #include <atomic>
@@ -77,6 +87,29 @@ struct PipelineConfig {
   ConfigMap function_context;
 };
 
+/// A forwarding processing layer inserted before the cloud stage.
+struct StageSpec {
+  std::string name;
+  res::PilotPtr pilot;
+  ProcessFnFactory process;
+  /// Parallel tasks for this stage; 0 = one per input-topic partition.
+  std::size_t tasks = 0;
+};
+
+/// Per-stage counters of a run, in chain order (cloud stage last).
+struct StageReport {
+  std::string name;
+  /// Records this stage finished with: passed on, dead-lettered or
+  /// undecodable (duplicates are not counted).
+  std::uint64_t messages_in = 0;
+  /// Records forwarded to the next stage; for the cloud stage, records
+  /// processed successfully.
+  std::uint64_t messages_out = 0;
+  std::uint64_t errors = 0;
+  /// Mean processing time per handled record, retries included.
+  double mean_processing_ms = 0.0;
+};
+
 /// Everything a finished run reports.
 struct PipelineRunReport {
   Status status = Status::Ok();
@@ -94,6 +127,10 @@ struct PipelineRunReport {
   std::uint64_t pilot_recoveries = 0;
   broker::BrokerStats broker;
   ps::ServerStats parameter_server;
+  std::vector<StageReport> stages;
+
+  /// Chain summary line plus one line per stage.
+  std::string to_string() const;
 };
 
 class EdgeToCloudPipeline {
@@ -113,6 +150,9 @@ class EdgeToCloudPipeline {
   EdgeToCloudPipeline& set_produce_function(ProduceFnFactory factory);
   EdgeToCloudPipeline& set_process_edge_function(ProcessFnFactory factory);
   EdgeToCloudPipeline& set_process_cloud_function(ProcessFnFactory factory);
+  /// Appends a forwarding stage before the cloud stage; stages run in
+  /// insertion order. Call before start().
+  EdgeToCloudPipeline& add_stage(StageSpec stage);
   EdgeToCloudPipeline& set_fabric(std::shared_ptr<net::Fabric> fabric);
   /// Attaches the (non-owned) manager whose replacement events drive
   /// config.auto_recover. The manager must outlive the pipeline run.
@@ -122,6 +162,11 @@ class EdgeToCloudPipeline {
   const PipelineConfig& config() const { return config_; }
   /// Topic name carrying ResultRecords when config().emit_results is set.
   std::string results_topic() const { return config_.topic + "-results"; }
+  /// Stages including the cloud stage.
+  std::size_t stage_count() const { return stage_states_.size(); }
+  /// Input topic of stage `stage`: config().topic for the first stage,
+  /// "<topic>-s<k>" for the k-th.
+  std::string stage_topic(std::size_t stage) const;
 
   /// start + wait + stop in one call.
   Result<PipelineRunReport> run();
@@ -146,48 +191,72 @@ class EdgeToCloudPipeline {
 
   /// Live progress counters.
   std::uint64_t messages_produced() const { return produced_.load(); }
-  std::uint64_t messages_processed() const { return processed_.load(); }
+  /// Records the cloud stage has finished with.
+  std::uint64_t messages_processed() const {
+    return stage_states_.back()->handled.load();
+  }
 
   /// The pipeline-managed parameter server (null before start or when
   /// disabled).
   std::shared_ptr<ps::ParameterServer> parameter_server() const;
 
  private:
+  /// Run counters and dedup state of one stage.
+  struct StageState {
+    std::atomic<std::uint64_t> handled{0};
+    std::atomic<std::uint64_t> out{0};
+    std::atomic<std::uint64_t> errors{0};
+    std::atomic<std::uint64_t> process_ns{0};
+    /// Task indices handed out (names and FunctionContext task ids).
+    std::atomic<std::size_t> spawned{0};
+    // At-least-once delivery from the broker (consumer-group rebalances
+    // can redeliver uncommitted records) is turned into effectively-once
+    // processing by deduplicating on the unique message id.
+    Mutex seen_mutex{"core.pipeline.dedup"};
+    std::unordered_set<std::uint64_t> seen PE_GUARDED_BY(seen_mutex);
+  };
+
   Status validate() const;
-  exec::TaskSpec make_producer_task(std::size_t device_index);
-  exec::TaskSpec make_processing_task(std::size_t task_index)
-      PE_REQUIRES(pilots_mutex_);
+  exec::TaskSpec make_processing_task(std::size_t stage,
+                                      std::size_t task_index)
+      PE_REQUIRES(wiring_mutex_);
   Status producer_body(exec::TaskContext& tctx, std::size_t device_index,
                        const net::SiteId& site);
-  Status processing_body(exec::TaskContext& tctx, std::size_t task_index,
-                         const net::SiteId& site);
-  bool work_finished() const;
+  Status processing_body(exec::TaskContext& tctx, std::size_t stage,
+                         std::size_t task_index, const net::SiteId& site);
+  /// A stage is done once its upstream is done and it has handled every
+  /// record the upstream passed on.
+  bool stage_done(std::size_t stage) const;
+  bool work_finished() const { return stage_done(stage_states_.size() - 1); }
+  std::size_t stage_tasks(std::size_t stage) const
+      PE_REQUIRES(wiring_mutex_);
   /// PilotManager replacement event: re-bind the matching pilot pointer
-  /// and (for the cloud processing pilot) respawn processing tasks on the
+  /// and (for a stage's pilot) respawn that stage's tasks on the
   /// replacement cluster. Runs on the manager's monitor thread.
   void on_pilot_replaced(const res::PilotPtr& failed,
                          const res::PilotPtr& replacement);
-  Status scale_processing_locked(std::size_t count)
-      PE_REQUIRES(pilots_mutex_);
+  Status scale_stage_locked(std::size_t stage, std::size_t count)
+      PE_REQUIRES(wiring_mutex_);
   /// Dead-letters a record after exhausted/non-transient processing
-  /// failure; counts it as processed so the run drains.
+  /// failure; the caller counts it as handled so the run drains.
   void dead_letter_record(const broker::ConsumedRecord& record,
                           const Status& failure);
 
   const std::string id_;
   PipelineConfig config_;
   std::shared_ptr<net::Fabric> fabric_;
-  // Pilot bindings can be swapped at runtime by recovery. Unranked: the
-  // graph tracks its edges into the resource and exec domains.
-  mutable Mutex pilots_mutex_{"core.pipeline.pilots"};
-  std::vector<res::PilotPtr> edge_pilots_ PE_GUARDED_BY(pilots_mutex_);
-  res::PilotPtr cloud_pilot_ PE_GUARDED_BY(pilots_mutex_);
-  res::PilotPtr broker_pilot_ PE_GUARDED_BY(pilots_mutex_);
+  // Pilot bindings and stage functions can be swapped at runtime by
+  // recovery and hot-swap. Unranked: the graph tracks its edges into the
+  // resource and exec domains.
+  mutable Mutex wiring_mutex_{"core.pipeline.wiring"};
+  std::vector<res::PilotPtr> edge_pilots_ PE_GUARDED_BY(wiring_mutex_);
+  res::PilotPtr broker_pilot_ PE_GUARDED_BY(wiring_mutex_);
+  /// Forwarding stages, then the cloud stage ("proc") last.
+  std::vector<StageSpec> stages_ PE_GUARDED_BY(wiring_mutex_);
   res::PilotManager* pilot_manager_ = nullptr;
   std::uint64_t replacement_sub_token_ = 0;
   ProduceFnFactory produce_factory_;
   ProcessFnFactory edge_factory_;
-  ProcessFnFactory cloud_factory_ PE_GUARDED_BY(factory_mutex_);
 
   // Run state.
   std::shared_ptr<broker::Broker> broker_;
@@ -197,32 +266,25 @@ class EdgeToCloudPipeline {
   std::shared_ptr<tel::SpanCollector> collector_;
   std::vector<exec::TaskHandle> producer_handles_;
   // Recovery appends re-spawned tasks from the monitor thread, so the
-  // processing fleet shares the pilot-binding lock.
+  // processing fleet shares the wiring lock.
   std::vector<exec::TaskHandle> processing_handles_
-      PE_GUARDED_BY(pilots_mutex_);
+      PE_GUARDED_BY(wiring_mutex_);
+  /// Parallel to stages_; grows only in add_stage, before start().
+  std::vector<std::unique_ptr<StageState>> stage_states_;
   std::uint32_t effective_partitions_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> producers_done_{false};
   std::atomic<std::uint64_t> produced_{0};
-  std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> outliers_{0};
+  /// Producer-side errors; stage errors are counted per stage.
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> duplicates_{0};
   std::atomic<std::uint64_t> dead_lettered_{0};
   std::atomic<std::uint64_t> recoveries_{0};
   std::atomic<std::uint64_t> producers_running_{0};
 
-  // At-least-once delivery from the broker (consumer-group rebalances can
-  // redeliver uncommitted records) is turned into effectively-once
-  // processing by deduplicating on the unique message id.
-  Mutex processed_ids_mutex_{"core.pipeline.dedup"};
-  std::unordered_set<std::uint64_t> processed_ids_
-      PE_GUARDED_BY(processed_ids_mutex_);
-
-  // Hot-swappable processing function factory (dynamism).
-  mutable Mutex factory_mutex_{"core.pipeline.factory"};
+  // Bumped by replace_process_cloud_function (dynamism).
   std::atomic<std::uint64_t> cloud_factory_generation_{0};
-  std::size_t next_processing_index_ PE_GUARDED_BY(pilots_mutex_) = 0;
 };
 
 }  // namespace pe::core

@@ -30,6 +30,11 @@ struct CodeNameCase {
   std::string_view name;
 };
 
+// Names each case by its expected string; the default printer dumps the
+// struct's raw bytes (string_view pointer and padding), which renamed the
+// test on every relink.
+void PrintTo(const CodeNameCase& c, std::ostream* os) { *os << c.name; }
+
 class StatusCodeNameTest : public ::testing::TestWithParam<CodeNameCase> {};
 
 TEST_P(StatusCodeNameTest, ToStringMatches) {

@@ -1,8 +1,12 @@
-#include "core/multistage.h"
-
+// N-layer chains: forwarding stages inserted before the cloud stage.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
+
 #include "core/functions.h"
+#include "core/pipeline.h"
+#include "data/codec.h"
 #include "resource/pilot_manager.h"
 
 namespace pe::core {
@@ -44,13 +48,23 @@ class MultiStageTest : public ::testing::Test {
     ASSERT_TRUE(manager_->wait_all_active().ok());
   }
 
-  MultiStageConfig small_config() {
-    MultiStageConfig config;
+  PipelineConfig small_config() {
+    PipelineConfig config;
     config.edge_devices = 2;
     config.messages_per_device = 5;
     config.rows_per_message = 80;
     config.run_timeout = std::chrono::minutes(2);
     return config;
+  }
+
+  // Devices, broker and cloud pilot; the caller adds stages and the cloud
+  // function.
+  void wire(EdgeToCloudPipeline& pipeline) {
+    pipeline.set_fabric(fabric_)
+        .set_pilot_cloud_broker(broker_)
+        .set_pilot_edge(edge_)
+        .set_pilot_cloud_processing(cloud_)
+        .set_produce_function(functions::make_generator_produce({}, 80));
   }
 
   std::shared_ptr<net::Fabric> fabric_;
@@ -59,46 +73,38 @@ class MultiStageTest : public ::testing::Test {
 };
 
 TEST_F(MultiStageTest, ThreeTierChainCompletesEveryMessage) {
-  MultiStagePipeline pipeline(small_config());
-  pipeline.set_fabric(fabric_)
-      .set_pilot_broker(broker_)
-      .set_pilot_edge(edge_)
-      .set_produce_function(functions::make_generator_produce({}, 80))
+  EdgeToCloudPipeline pipeline(small_config());
+  wire(pipeline);
+  pipeline
       .add_stage({.name = "fog-aggregate",
                   .pilot = fog_,
                   .process = functions::make_aggregate_edge(4)})
-      .add_stage({.name = "cloud-detect",
-                  .pilot = cloud_,
-                  .process =
-                      functions::make_model_process(ml::ModelKind::kKMeans)});
+      .set_process_cloud_function(
+          functions::make_model_process(ml::ModelKind::kKMeans));
   EXPECT_EQ(pipeline.stage_count(), 2u);
 
   auto report = pipeline.run();
   ASSERT_TRUE(report.ok()) << report.status().to_string();
   EXPECT_TRUE(report.value().status.ok()) << report.value().status.to_string();
   EXPECT_EQ(report.value().messages_produced, 10u);
-  EXPECT_EQ(report.value().messages_completed, 10u);
   ASSERT_EQ(report.value().stages.size(), 2u);
+  EXPECT_EQ(report.value().stages.back().messages_out, 10u);
   EXPECT_EQ(report.value().stages[0].messages_in, 10u);
   EXPECT_EQ(report.value().stages[0].messages_out, 10u);
   EXPECT_EQ(report.value().stages[1].messages_in, 10u);
   EXPECT_EQ(report.value().stages[1].errors, 0u);
-  EXPECT_GT(report.value().end_to_end_ms.mean, 0.0);
-  EXPECT_EQ(report.value().end_to_end_ms.count, 10u);
+  EXPECT_GT(report.value().run.end_to_end_ms.mean, 0.0);
+  EXPECT_EQ(report.value().run.end_to_end_ms.count, 10u);
 }
 
 TEST_F(MultiStageTest, FogStageShrinksBytesBeforeCloudHop) {
-  MultiStagePipeline pipeline(small_config());
-  pipeline.set_fabric(fabric_)
-      .set_pilot_broker(broker_)
-      .set_pilot_edge(edge_)
-      .set_produce_function(functions::make_generator_produce({}, 80))
+  EdgeToCloudPipeline pipeline(small_config());
+  wire(pipeline);
+  pipeline
       .add_stage({.name = "fog-aggregate",
                   .pilot = fog_,
                   .process = functions::make_aggregate_edge(8)})
-      .add_stage({.name = "cloud-sink",
-                  .pilot = cloud_,
-                  .process = functions::make_passthrough_process()});
+      .set_process_cloud_function(functions::make_passthrough_process());
   auto report = pipeline.run();
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report.value().status.ok());
@@ -111,29 +117,22 @@ TEST_F(MultiStageTest, FogStageShrinksBytesBeforeCloudHop) {
 }
 
 TEST_F(MultiStageTest, SingleStageDegeneratesToTwoLayerPipeline) {
-  MultiStagePipeline pipeline(small_config());
-  pipeline.set_fabric(fabric_)
-      .set_pilot_broker(broker_)
-      .set_pilot_edge(edge_)
-      .set_produce_function(functions::make_generator_produce({}, 80))
-      .add_stage({.name = "cloud-only",
-                  .pilot = cloud_,
-                  .process =
-                      functions::make_model_process(ml::ModelKind::kKMeans)});
+  EdgeToCloudPipeline pipeline(small_config());
+  wire(pipeline);
+  pipeline.set_process_cloud_function(
+      functions::make_model_process(ml::ModelKind::kKMeans));
   auto report = pipeline.run();
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().messages_completed, 10u);
+  EXPECT_EQ(report.value().stages.back().messages_out, 10u);
 }
 
 TEST_F(MultiStageTest, FourStageDeepChain) {
   auto config = small_config();
   config.messages_per_device = 3;
-  MultiStagePipeline pipeline(config);
-  pipeline.set_fabric(fabric_)
-      .set_pilot_broker(broker_)
-      .set_pilot_edge(edge_)
-      .set_produce_function(functions::make_generator_produce({}, 80));
-  // Four stages across the three sites.
+  config.processing_tasks = 1;  // the cloud stage, s3
+  EdgeToCloudPipeline pipeline(config);
+  wire(pipeline);
+  // Four stages across the three sites; the cloud stage is the last.
   pipeline
       .add_stage({.name = "s0",
                   .pilot = fog_,
@@ -145,15 +144,12 @@ TEST_F(MultiStageTest, FourStageDeepChain) {
       .add_stage({.name = "s2",
                   .pilot = cloud_,
                   .process = functions::make_aggregate_edge(2)})
-      .add_stage({.name = "s3",
-                  .pilot = cloud_,
-                  .process =
-                      functions::make_model_process(ml::ModelKind::kKMeans),
-                  .tasks = 1});
+      .set_process_cloud_function(
+          functions::make_model_process(ml::ModelKind::kKMeans));
   auto report = pipeline.run();
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report.value().status.ok()) << report.value().status.to_string();
-  EXPECT_EQ(report.value().messages_completed, 6u);
+  EXPECT_EQ(report.value().stages.back().messages_out, 6u);
   ASSERT_EQ(report.value().stages.size(), 4u);
   for (const auto& stage : report.value().stages) {
     EXPECT_EQ(stage.messages_in, 6u) << stage.name;
@@ -162,24 +158,22 @@ TEST_F(MultiStageTest, FourStageDeepChain) {
 
 TEST_F(MultiStageTest, ValidationCatchesMissingPieces) {
   {
-    MultiStagePipeline pipeline(small_config());
+    EdgeToCloudPipeline pipeline(small_config());
     EXPECT_EQ(pipeline.run().status().code(), StatusCode::kInvalidArgument);
   }
   {
-    MultiStagePipeline pipeline(small_config());
+    EdgeToCloudPipeline pipeline(small_config());
     pipeline.set_fabric(fabric_)
-        .set_pilot_broker(broker_)
+        .set_pilot_cloud_broker(broker_)
         .set_pilot_edge(edge_)
         .set_produce_function(functions::make_generator_produce({}, 10));
-    // no stages
+    // no processing stage
     EXPECT_EQ(pipeline.run().status().code(), StatusCode::kInvalidArgument);
   }
   {
-    MultiStagePipeline pipeline(small_config());
-    pipeline.set_fabric(fabric_)
-        .set_pilot_broker(broker_)
-        .set_pilot_edge(edge_)
-        .set_produce_function(functions::make_generator_produce({}, 10))
+    EdgeToCloudPipeline pipeline(small_config());
+    wire(pipeline);
+    pipeline.set_process_cloud_function(functions::make_passthrough_process())
         .add_stage({.name = "no-pilot",
                     .pilot = nullptr,
                     .process = functions::make_passthrough_process()});
@@ -187,38 +181,98 @@ TEST_F(MultiStageTest, ValidationCatchesMissingPieces) {
   }
 }
 
-TEST_F(MultiStageTest, RunIsSingleShot) {
-  MultiStagePipeline pipeline(small_config());
-  pipeline.set_fabric(fabric_)
-      .set_pilot_broker(broker_)
-      .set_pilot_edge(edge_)
-      .set_produce_function(functions::make_generator_produce({}, 80))
-      .add_stage({.name = "sink",
-                  .pilot = cloud_,
-                  .process = functions::make_passthrough_process()});
-  ASSERT_TRUE(pipeline.run().ok());
-  EXPECT_EQ(pipeline.run().status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST_F(MultiStageTest, ReportToStringListsStages) {
-  MultiStagePipeline pipeline(small_config());
-  pipeline.set_fabric(fabric_)
-      .set_pilot_broker(broker_)
-      .set_pilot_edge(edge_)
-      .set_produce_function(functions::make_generator_produce({}, 80))
+  EdgeToCloudPipeline pipeline(small_config());
+  wire(pipeline);
+  pipeline
       .add_stage({.name = "alpha",
                   .pilot = fog_,
                   .process = functions::make_passthrough_process()})
       .add_stage({.name = "omega",
                   .pilot = cloud_,
-                  .process = functions::make_passthrough_process()});
+                  .process = functions::make_passthrough_process()})
+      .set_process_cloud_function(functions::make_passthrough_process());
   auto report = pipeline.run();
   ASSERT_TRUE(report.ok());
   const std::string s = report.value().to_string();
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("omega"), std::string::npos);
   EXPECT_NE(s.find("completed chain"), std::string::npos);
+}
+
+// A middle stage that fails non-transiently routes the record to its input
+// topic's dead-letter queue; the rest of the chain drains around it.
+TEST_F(MultiStageTest, MiddleStageFailuresAreDeadLetteredAndChainDrains) {
+  std::mutex mutex;
+  std::set<std::uint64_t> seen_first, rejected, delivered;
+  auto recording = [&mutex](std::set<std::uint64_t>& ids) {
+    return shared_process_fn(
+        [&mutex, &ids](FunctionContext&,
+                       data::DataBlock block) -> Result<ProcessResult> {
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(block.message_id);
+          }
+          ProcessResult out;
+          out.block = std::move(block);
+          return out;
+        });
+  };
+  // Message ids are contiguous for the run, so exactly half are even.
+  auto filter = shared_process_fn(
+      [&](FunctionContext&, data::DataBlock block) -> Result<ProcessResult> {
+        if (block.message_id % 2 == 0) {
+          std::lock_guard<std::mutex> lock(mutex);
+          rejected.insert(block.message_id);
+          return Status::Internal("rejected by filter");
+        }
+        ProcessResult out;
+        out.block = std::move(block);
+        return out;
+      });
+
+  EdgeToCloudPipeline pipeline(small_config());
+  wire(pipeline);
+  pipeline
+      .add_stage({.name = "fog-ingest", .pilot = fog_,
+                  .process = recording(seen_first)})
+      .add_stage({.name = "fog-filter", .pilot = fog_, .process = filter})
+      .set_process_cloud_function(recording(delivered));
+  auto result = pipeline.run();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const auto& report = result.value();
+  ASSERT_TRUE(report.status.ok()) << report.status.to_string();
+
+  EXPECT_EQ(report.messages_produced, 10u);
+  ASSERT_EQ(seen_first.size(), 10u);
+  ASSERT_EQ(rejected.size(), 5u);
+  EXPECT_EQ(report.messages_dead_lettered, rejected.size());
+  ASSERT_EQ(report.stages.size(), 3u);
+  EXPECT_EQ(report.stages[1].messages_in, 10u);
+  EXPECT_EQ(report.stages[1].messages_out, 5u);
+  EXPECT_EQ(report.stages[1].errors, 5u);
+
+  // The rejected records sit in the middle stage's input-topic DLQ.
+  broker::FetchSpec spec;
+  spec.max_records = 100;
+  auto dlq = broker_->broker()->fetch(
+      broker::dead_letter_topic_name(pipeline.stage_topic(1)), 0, spec);
+  ASSERT_TRUE(dlq.ok()) << dlq.status().to_string();
+  std::set<std::uint64_t> dead;
+  for (const auto& record : dlq.value()) {
+    auto block = data::Codec::decode(record.record.value);
+    ASSERT_TRUE(block.ok());
+    dead.insert(block.value().message_id);
+  }
+  EXPECT_EQ(dead, rejected);
+
+  // The cloud stage got every other record.
+  std::set<std::uint64_t> expected;
+  for (auto id : seen_first) {
+    if (rejected.count(id) == 0) expected.insert(id);
+  }
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(report.stages.back().messages_out, 5u);
 }
 
 }  // namespace

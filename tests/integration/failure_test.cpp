@@ -153,6 +153,71 @@ TEST_F(PipelineFailureTest, CloudPilotLossRecoversWhenEnabled) {
   EXPECT_EQ(manager.reprovision_count(), 1u);
 }
 
+TEST_F(PipelineFailureTest, ForwardingStagePilotLossIsRecoveredInChain) {
+  // A forwarding stage between the devices and the cloud stage loses its
+  // pilot mid-run. With auto_recover the stage's tasks are respawned on the
+  // replacement and the chain still drains every message exactly once.
+  res::PilotManagerOptions options;
+  options.startup_delay_factor = 0.0005;
+  options.auto_reprovision = true;
+  options.heartbeat_interval = std::chrono::milliseconds(5);
+  options.reprovision_backoff = std::chrono::milliseconds(1);
+  res::PilotManager manager(fabric_, options);
+  auto edge = manager
+                  .submit(res::Flavors::make("lrz-eu", res::Backend::kCloudVm,
+                                             2, 8.0))
+                  .value();
+  auto fog = manager
+                 .submit(res::Flavors::make("lrz-eu", res::Backend::kCloudVm,
+                                            2, 8.0))
+                 .value();
+  auto cloud = manager.submit(res::Flavors::lrz_large()).value();
+  auto broker = manager
+                    .submit(res::Flavors::make(
+                        "lrz-eu", res::Backend::kBrokerService, 2, 8.0))
+                    .value();
+  ASSERT_TRUE(manager.wait_all_active().ok());
+
+  PipelineConfig config;
+  config.edge_devices = 1;
+  config.messages_per_device = 200;
+  config.rows_per_message = 100;
+  config.produce_interval = std::chrono::milliseconds(2);
+  config.run_timeout = std::chrono::seconds(30);
+  config.auto_recover = true;
+  EdgeToCloudPipeline pipeline(config);
+  pipeline.set_fabric(fabric_)
+      .set_pilot_edge(edge)
+      .set_pilot_cloud_processing(cloud)
+      .set_pilot_cloud_broker(broker)
+      .set_pilot_manager(&manager)
+      .set_produce_function(functions::make_generator_produce({}, 100))
+      .add_stage({.name = "fog",
+                  .pilot = fog,
+                  .process = functions::make_passthrough_process()})
+      .set_process_cloud_function(functions::make_passthrough_process());
+  ASSERT_TRUE(pipeline.start().ok());
+  while (pipeline.messages_processed() < 5) {
+    Clock::sleep_exact(std::chrono::milliseconds(2));
+  }
+
+  ASSERT_TRUE(fog->inject_failure("spot preemption").ok());
+
+  const Status status = pipeline.wait();
+  EXPECT_TRUE(status.ok()) << status.to_string();
+  pipeline.stop();
+  const auto report = pipeline.report("fog-loss-recovered");
+  EXPECT_EQ(report.messages_produced, 200u);
+  EXPECT_EQ(report.messages_processed, report.messages_produced);
+  ASSERT_EQ(report.stages.size(), 2u);
+  EXPECT_EQ(report.stages[0].messages_in, 200u);
+  EXPECT_EQ(report.stages[0].messages_out, 200u);
+  EXPECT_EQ(report.stages[1].messages_out, 200u);
+  EXPECT_EQ(report.messages_dead_lettered, 0u);
+  EXPECT_EQ(report.pilot_recoveries, 1u);
+  EXPECT_EQ(manager.reprovision_count(), 1u);
+}
+
 TEST_F(PipelineFailureTest, PoisonRecordsAreDeadLetteredAndRunDrains) {
   PipelineConfig config;
   config.edge_devices = 1;

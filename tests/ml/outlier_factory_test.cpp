@@ -93,6 +93,11 @@ struct FactoryCase {
   const char* name;
 };
 
+// Names each case by its model name; the default printer dumps the
+// struct's raw bytes (pointer and padding), which renamed the test on
+// every relink.
+void PrintTo(const FactoryCase& c, std::ostream* os) { *os << c.name; }
+
 class FactoryTest : public ::testing::TestWithParam<FactoryCase> {};
 
 TEST_P(FactoryTest, CreatesWorkingModel) {
