@@ -191,7 +191,7 @@ class AdmissionController {
   const AdmissionConfig config_;
   // Leaf-ish lock in the broker domain: held only around bucket math,
   // never while a partition or registry lock is taken.
-  mutable Mutex mutex_{"broker.admission"};
+  mutable Mutex mutex_;
   std::map<std::string, ClientState> clients_ PE_GUARDED_BY(mutex_);
   std::shared_ptr<std::atomic<std::int64_t>> hot_bytes_ =
       std::make_shared<std::atomic<std::int64_t>>(0);

@@ -118,7 +118,7 @@ class BatchAccumulator {
   const FlushFn flush_;
   // Client-side lock, held only around the pending map — never across the
   // sink call (which takes broker/cluster locks and network time).
-  mutable Mutex mutex_{"broker.batch_accumulator"};
+  mutable Mutex mutex_;
   CondVar wake_;
   std::map<Key, Pending> pending_ PE_GUARDED_BY(mutex_);
   BatchAccumulatorStats stats_ PE_GUARDED_BY(mutex_);

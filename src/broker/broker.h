@@ -267,8 +267,7 @@ class Broker : public Endpoint {
   // offline toggles) take it exclusive. Top of the broker lock domain:
   // PartitionLog mutexes may be acquired under it (retained_bytes), never
   // above it.
-  mutable SharedMutex mutex_{"broker.registry",
-                             lock_rank(kLockDomainBroker, 1)};
+  mutable SharedMutex mutex_;
   std::map<std::string, std::shared_ptr<Topic>> topics_ PE_GUARDED_BY(mutex_);
   std::set<std::pair<std::string, std::uint32_t>> offline_partitions_
       PE_GUARDED_BY(mutex_);

@@ -17,8 +17,8 @@ Result<GroupAssignment> GroupCoordinator::join(
   }
   // Resolve partition counts BEFORE taking the coordinator lock: the
   // broker-backed callback acquires the broker registry lock, and calling
-  // it under mutex_ inverts the Broker -> Coordinator order (the
-  // lock-order detector aborts on that; regression test in
+  // it under mutex_ inverts the Broker -> Coordinator order (TSan reports
+  // that as a lock-order inversion; regression test in
   // tests/broker/group_coordinator_test.cpp).
   std::map<std::string, std::uint32_t> counts;
   for (const auto& t : topics) {

@@ -115,7 +115,7 @@ class GroupCoordinator {
   PartitionCountFn partition_count_fn_;
   // Leaf of the broker lock domain: consumers call into the coordinator
   // while the broker may hold its own locks, never the reverse.
-  mutable Mutex mutex_{"broker.coordinator", lock_rank(kLockDomainBroker, 3)};
+  mutable Mutex mutex_;
   Duration session_timeout_ PE_GUARDED_BY(mutex_) = Duration::zero();
   CommitListener commit_listener_ PE_GUARDED_BY(mutex_);
   std::map<std::string, Group> groups_ PE_GUARDED_BY(mutex_);

@@ -169,10 +169,9 @@ class PartitionLog {
   const RetentionPolicy retention_;
   // Level 2 in the broker domain: legally acquired under the Broker
   // registry lock (level 1), never the other way around. The durable
-  // tier's own mutex ranks below this one (level 4), so writing through
+  // tier's own mutex sits below this one (level 4), so writing through
   // while holding this lock is in order.
-  mutable Mutex mutex_{"broker.partition_log",
-                       lock_rank(kLockDomainBroker, 2)};
+  mutable Mutex mutex_;
   mutable CondVar data_available_;
   std::deque<Entry> entries_ PE_GUARDED_BY(mutex_);
   std::uint64_t next_offset_ PE_GUARDED_BY(mutex_) = 0;

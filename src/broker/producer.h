@@ -83,7 +83,7 @@ class Producer {
   std::shared_ptr<net::Fabric> fabric_;
   const net::SiteId site_;
   const std::string id_ = next_producer_id();
-  mutable Mutex mutex_{"broker.producer"};
+  mutable Mutex mutex_;
   ProducerStats stats_ PE_GUARDED_BY(mutex_);
   // Set once by enable_batching before any enqueue; the accumulator is
   // internally synchronized.

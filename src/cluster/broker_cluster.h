@@ -182,8 +182,7 @@ class BrokerCluster {
     /// against the controller's catch-up pump, so every replica applies
     /// record batches in the same order (offsets must match content
     /// across replicas).
-    Mutex append_mutex{"cluster.partition",
-                       lock_rank(kLockDomainCluster, 3)};
+    Mutex append_mutex;
   };
 
   struct TopicState {
@@ -263,11 +262,10 @@ class BrokerCluster {
   // Produce/fetch hold it shared across the leadership check and the
   // leader append; elections take it exclusive — a deposed leader can
   // never append after the election that removed it.
-  mutable SharedMutex mutex_{"cluster.meta", lock_rank(kLockDomainCluster, 1)};
+  mutable SharedMutex mutex_;
   /// Serializes __offsets append+apply so the coordinator's table always
   /// reflects a prefix of the log in log order.
-  Mutex offsets_mutex_{"cluster.offsets_apply",
-                       lock_rank(kLockDomainCluster, 2)};
+  Mutex offsets_mutex_;
   std::vector<Node> nodes_ PE_GUARDED_BY(mutex_);
   std::map<std::string, TopicState> topics_ PE_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> failovers_{0};

@@ -116,7 +116,7 @@ class ClusterEndpoint final : public broker::Endpoint {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> throttle_waits_{0};
   // Guards the leader cache only, never held across a cluster call.
-  Mutex mutex_{"cluster.endpoint"};
+  Mutex mutex_;
   std::map<broker::TopicPartition, BrokerId> leaders_ PE_GUARDED_BY(mutex_);
 };
 

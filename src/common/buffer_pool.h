@@ -201,7 +201,7 @@ class BufferPool {
 
   const Options options_;
   // Leaf lock: nothing else is ever acquired while it is held.
-  mutable Mutex mutex_{"common.buffer_pool"};
+  mutable Mutex mutex_;
   std::vector<std::unique_ptr<Bytes>> free_ PE_GUARDED_BY(mutex_);
   // Empty heap shells kept so acquire()/release() round-trips and
   // discarded over-sized shared buffers reuse the Bytes object itself.

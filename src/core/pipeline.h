@@ -212,7 +212,7 @@ class EdgeToCloudPipeline {
     // At-least-once delivery from the broker (consumer-group rebalances
     // can redeliver uncommitted records) is turned into effectively-once
     // processing by deduplicating on the unique message id.
-    Mutex seen_mutex{"core.pipeline.dedup"};
+    Mutex seen_mutex;
     std::unordered_set<std::uint64_t> seen PE_GUARDED_BY(seen_mutex);
   };
 
@@ -246,9 +246,9 @@ class EdgeToCloudPipeline {
   PipelineConfig config_;
   std::shared_ptr<net::Fabric> fabric_;
   // Pilot bindings and stage functions can be swapped at runtime by
-  // recovery and hot-swap. Unranked: the graph tracks its edges into the
-  // resource and exec domains.
-  mutable Mutex wiring_mutex_{"core.pipeline.wiring"};
+  // recovery and hot-swap. Held while calling into the resource and exec
+  // domains, so nothing reachable from them may call back in here.
+  mutable Mutex wiring_mutex_;
   std::vector<res::PilotPtr> edge_pilots_ PE_GUARDED_BY(wiring_mutex_);
   res::PilotPtr broker_pilot_ PE_GUARDED_BY(wiring_mutex_);
   /// Forwarding stages, then the cloud stage ("proc") last.

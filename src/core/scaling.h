@@ -60,7 +60,7 @@ class BacklogAutoScaler {
   const AutoScalerConfig config_;
   std::atomic<bool> running_{false};
   std::atomic<std::size_t> added_{0};
-  mutable Mutex events_mutex_{"core.scaler.events"};
+  mutable Mutex events_mutex_;
   std::vector<ScaleEvent> events_ PE_GUARDED_BY(events_mutex_);
   std::thread thread_;
 };

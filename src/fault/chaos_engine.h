@@ -86,7 +86,7 @@ class ChaosEngine {
   std::shared_ptr<cluster::BrokerCluster> broker_cluster_;
   std::vector<std::shared_ptr<exec::Cluster>> clusters_;
 
-  mutable Mutex mutex_{"fault.chaos"};
+  mutable Mutex mutex_;
   std::vector<FaultRecord> records_ PE_GUARDED_BY(mutex_);
   std::thread thread_;
   bool started_ PE_GUARDED_BY(mutex_) = false;

@@ -136,7 +136,7 @@ class MqttBroker {
                       Message message) PE_REQUIRES(mutex_);
 
   const net::SiteId site_;
-  mutable Mutex mutex_{"mqtt.broker"};
+  mutable Mutex mutex_;
   std::map<std::string, Session> sessions_ PE_GUARDED_BY(mutex_);
   std::map<std::string, Message> retained_
       PE_GUARDED_BY(mutex_);  // topic -> last retained msg

@@ -79,7 +79,7 @@ class Fabric {
 
   // Registry lock only: transfer() resolves the link under it, then
   // sleeps/charges on the Link's own mutex with this one released.
-  mutable Mutex mutex_{"net.fabric"};
+  mutable Mutex mutex_;
   LinkSpec loopback_spec_;
   std::map<SiteId, Site> sites_ PE_GUARDED_BY(mutex_);
   // Directed links keyed by "from\0to"; loopbacks created lazily per site.

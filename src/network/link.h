@@ -92,7 +92,7 @@ class Link {
 
  private:
   const LinkSpec spec_;
-  mutable Mutex mutex_{"net.link"};
+  mutable Mutex mutex_;
   Rng rng_ PE_GUARDED_BY(mutex_);
   // Next instant (real/scaled clock) at which the shared channel is free.
   TimePoint channel_free_at_ PE_GUARDED_BY(mutex_);

@@ -97,7 +97,7 @@ class ParameterServer {
 
  private:
   const net::SiteId site_;
-  mutable Mutex mutex_{"ps.server"};
+  mutable Mutex mutex_;
   mutable CondVar updated_;
   std::map<std::string, VersionedValue> entries_ PE_GUARDED_BY(mutex_);
   std::map<std::string, std::int64_t> counters_ PE_GUARDED_BY(mutex_);

@@ -96,7 +96,7 @@ class Pilot {
   // Level 2 in the resource domain: PilotManager's monitor loop reads
   // pilot state while holding the manager lock (level 1); pilots never
   // call back into the manager.
-  mutable Mutex mutex_{"res.pilot", lock_rank(kLockDomainResource, 2)};
+  mutable Mutex mutex_;
   mutable CondVar state_cv_;
   PilotState state_ PE_GUARDED_BY(mutex_) = PilotState::kNew;
   ProvisionOutcome granted_ PE_GUARDED_BY(mutex_);

@@ -100,8 +100,7 @@ class PilotManager {
   // Top of the resource domain: the monitor loop reads Pilot state
   // (level 2) while holding this; replacement callbacks run with it
   // released.
-  mutable Mutex mutex_{"res.pilot_manager",
-                       lock_rank(kLockDomainResource, 1)};
+  mutable Mutex mutex_;
   std::map<std::string, PilotPtr> pilots_ PE_GUARDED_BY(mutex_);
   std::vector<std::thread> provisioners_ PE_GUARDED_BY(mutex_);
   bool shutdown_ PE_GUARDED_BY(mutex_) = false;

@@ -170,7 +170,7 @@ class LogDir {
   const StorageConfig config_;
   // Level 4 in the broker lock domain: legally acquired under the broker
   // registry (1), a partition log (2), or the group coordinator (3).
-  mutable Mutex mutex_{"storage.log_dir", lock_rank(kLockDomainBroker, 4)};
+  mutable Mutex mutex_;
   mutable CondVar flusher_cv_;
   /// Signaled when an in-flight group sync finishes (leader done).
   mutable CondVar sync_cv_;

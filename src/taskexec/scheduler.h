@@ -142,7 +142,7 @@ class Scheduler {
   // Top of the exec lock domain: dispatch_locked pushes into worker pool
   // queues (level 2) while holding this; worker threads re-enter via
   // finish_task only after dropping their queue lock.
-  mutable Mutex mutex_{"exec.scheduler", lock_rank(kLockDomainExec, 1)};
+  mutable Mutex mutex_;
   CondVar idle_cv_;
   std::map<std::string, WorkerSlot> workers_ PE_GUARDED_BY(mutex_);
   std::deque<PendingTask> pending_ PE_GUARDED_BY(mutex_);

@@ -48,7 +48,7 @@ class SpanCollector {
     if (it != spans_.end()) f(it->second);
   }
 
-  mutable Mutex mutex_{"tel.spans"};
+  mutable Mutex mutex_;
   std::map<std::uint64_t, MessageSpan> spans_ PE_GUARDED_BY(mutex_);
 };
 

@@ -61,7 +61,7 @@ class MetricsRegistry {
   // Registry lock guards the maps only; Counter/Gauge are lock-free and
   // Histogram has its own leaf mutex (histograms() reads summaries while
   // holding this, a one-directional Registry -> Histogram order).
-  mutable Mutex mutex_{"tel.registry"};
+  mutable Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
       PE_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_

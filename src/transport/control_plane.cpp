@@ -38,8 +38,11 @@ Status ControlPlane::start() {
 
 void ControlPlane::stop() {
   if (!running_.exchange(false)) return;
-  listener_.close();
+  // The accept loop sees running_ within one accept timeout. Close the
+  // listener only after it has exited: closing under a concurrent
+  // accept() races on the descriptor.
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   if (gc_thread_.joinable()) gc_thread_.join();
   std::vector<std::thread> conns;
   {

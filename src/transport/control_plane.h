@@ -132,10 +132,10 @@ class ControlPlane {
   std::thread accept_thread_;
   std::thread gc_thread_;
   // Handler threads for accepted connections, joined on stop().
-  mutable Mutex conn_mutex_{"transport.control.conns"};
+  mutable Mutex conn_mutex_;
   std::vector<std::thread> conn_threads_ PE_GUARDED_BY(conn_mutex_);
 
-  mutable Mutex mutex_{"transport.control.registry"};
+  mutable Mutex mutex_;
   std::map<std::string, ChannelInfo> channels_ PE_GUARDED_BY(mutex_);
   std::vector<std::string> dead_log_ PE_GUARDED_BY(mutex_);
   // Per-channel wall-clock time of the last 'H' frame seen on the

@@ -77,7 +77,9 @@ TEST(AutoEncoderTest, ScoresAreNonNegative) {
   AutoEncoder model(small_config());
   auto block = make_block(200);
   ASSERT_TRUE(model.fit(block).ok());
-  for (double s : model.score(block).value()) EXPECT_GE(s, 0.0);
+  auto scores = model.score(block);
+  ASSERT_TRUE(scores.ok());
+  for (double s : scores.value()) EXPECT_GE(s, 0.0);
 }
 
 TEST(AutoEncoderTest, TrainingRowCapBoundsEpochCost) {

@@ -3,7 +3,7 @@
 # analysis, and clang-tidy.
 #
 # Usage: tools/check.sh [mode] [ctest-regex]
-#   tools/check.sh                       # TSan, all tests
+#   tools/check.sh                       # TSan (races + lock order), all tests
 #   tools/check.sh thread Chaos          # TSan, tests matching 'Chaos'
 #   tools/check.sh address               # ASan, all tests
 #   tools/check.sh undefined             # UBSan, all tests
@@ -35,6 +35,12 @@ case "${MODE}" in
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "${BUILD_DIR}" -j"$(nproc)"
     cd "${BUILD_DIR}"
+    if [[ "${MODE}" == thread ]]; then
+      # TSan is the runtime lock-order check: have its lock-order-inversion
+      # reports print the held-lock site as well as the acquiring site for
+      # every edge of the cycle.
+      export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1}"
+    fi
     if [[ -n "${FILTER}" ]]; then
       ctest --output-on-failure -j"$(nproc)" -R "${FILTER}"
     else
