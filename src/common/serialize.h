@@ -55,6 +55,7 @@ class ByteWriter {
 
   /// Raw doubles without a length prefix (caller knows the count).
   void put_f64_array(const double* data, std::size_t n) {
+    if (n == 0) return;  // an empty vector's data() may be null
     const std::size_t offset = out_.size();
     out_.resize(offset + n * sizeof(double));
     std::memcpy(out_.data() + offset, data, n * sizeof(double));
@@ -121,7 +122,7 @@ class ByteReader {
   Status get_f64_array(double* data, std::size_t n) {
     const std::size_t need = n * sizeof(double);
     if (pos_ + need > in_.size()) return truncation();
-    std::memcpy(data, in_.data() + pos_, need);
+    if (need > 0) std::memcpy(data, in_.data() + pos_, need);
     pos_ += need;
     return Status::Ok();
   }

@@ -5,7 +5,6 @@
 #include <system_error>
 #include <thread>
 
-#include "common/buffer_pool.h"
 #include "common/clock.h"
 #include "common/logging.h"
 #include "telemetry/metrics.h"
@@ -24,6 +23,10 @@ std::uint64_t frame_size_of(const broker::Record& record) {
 /// How many consecutive covering fsyncs one group-commit leader runs for
 /// bytes that are not its own before handing leadership to a waiter.
 constexpr int kLeaderChoreBudget = 8;
+
+/// append_batch keeps its frame buffer between calls only up to this
+/// capacity; a larger one (a replication catch-up batch) is freed.
+constexpr std::size_t kEncodeBufKeepBytes = 1u << 20;
 
 }  // namespace
 
@@ -344,10 +347,11 @@ Result<std::uint64_t> LogDir::append_batch(
   for (const TimestampedRecord& tr : records) {
     batch_bytes += frame_size_of(*tr.record);
   }
-  // One pooled encode buffer per segment chunk (usually one per batch):
-  // all frames of a chunk are encoded back to back and hit the file in a
-  // single write().
-  Bytes buf = BufferPool::global().acquire(static_cast<std::size_t>(
+  // All frames of a segment chunk (usually the whole batch) are encoded
+  // back to back into encode_buf_ and hit the file in a single write().
+  // The buffer is used only between lock-held points: roll_locked may
+  // release the mutex, but never while a chunk is half encoded.
+  encode_buf_.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(batch_bytes, config_.segment_max_bytes)));
   std::vector<FrameMeta> frames;
   frames.reserve(records.size());
@@ -366,7 +370,7 @@ Result<std::uint64_t> LogDir::append_batch(
       }
     }
     // Chunk: the consecutive run of frames that fits the active segment.
-    buf.clear();
+    encode_buf_.clear();
     frames.clear();
     std::uint64_t seg_bytes = segments_.back()->bytes();
     std::uint64_t seg_records = segments_.back()->record_count();
@@ -381,9 +385,9 @@ Result<std::uint64_t> LogDir::append_batch(
       FrameMeta meta;
       meta.offset = offset;
       meta.broker_timestamp_ns = records[i].broker_timestamp_ns;
-      meta.buf_pos = buf.size();
-      encode_frame(buf, offset, meta.broker_timestamp_ns, record);
-      meta.frame_bytes = buf.size() - meta.buf_pos;
+      meta.buf_pos = encode_buf_.size();
+      encode_frame(encode_buf_, offset, meta.broker_timestamp_ns, record);
+      meta.frame_bytes = encode_buf_.size() - meta.buf_pos;
       frames.push_back(meta);
       seg_bytes += meta.frame_bytes;
       ++seg_records;
@@ -394,12 +398,14 @@ Result<std::uint64_t> LogDir::append_batch(
       have_first = true;
       first = frames.front().offset;
     }
-    if (auto s = writer_->append_encoded(buf, frames); !s.ok()) {
+    if (auto s = writer_->append_encoded(encode_buf_, frames); !s.ok()) {
       failed = s;
       break;
     }
   }
-  BufferPool::global().release(std::move(buf));
+  if (encode_buf_.capacity() > kEncodeBufKeepBytes) {
+    encode_buf_ = Bytes();  // a catch-up burst must not pin its peak
+  }
   if (!failed.ok()) return failed;
   // At most one policy sync covers the whole batch (rolls mid-batch seal
   // their outgoing segment with their own sync, as every roll does).
@@ -494,6 +500,12 @@ Result<std::vector<broker::ConsumedRecord>> LogDir::fetch(
       out.push_back(std::move(cr));
       p += frame.frame_bytes;
       ++at;
+    }
+    if (at == segment.end_offset() && seg_idx + 1 < segments_.size()) {
+      // Walked off the end of a sealed segment: a reader that has moved
+      // past it rarely comes back, so stop caching its mapping. The
+      // records above still own the region; it unmaps when they drop.
+      segment.release_mapping();
     }
     ++seg_idx;
   }

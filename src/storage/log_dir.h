@@ -68,7 +68,7 @@ class LogDir {
                                std::uint64_t broker_timestamp_ns);
 
   /// Appends a whole batch under one lock acquisition: frames are encoded
-  /// into a single pooled write buffer per segment chunk, written with
+  /// into one reused write buffer per segment chunk, written with
   /// one write() call, indexed with one bookkeeping walk, and covered by
   /// at most one policy sync for the entire batch. Returns the offset of
   /// the first appended record (end_offset() for an empty batch).
@@ -89,7 +89,9 @@ class LogDir {
   /// Records with offset >= `offset`, bounded by max_records/max_bytes
   /// (wire-size accounting; the first record always counts even when it
   /// alone exceeds max_bytes). Non-blocking: returns what is on disk.
-  /// Payload values are zero-copy views into the segment mappings.
+  /// Payload values are zero-copy views into the segment mappings. A
+  /// fetch that reads to the end of a sealed segment drops the segment's
+  /// cached mapping; the returned records keep their region mapped.
   Result<std::vector<broker::ConsumedRecord>> fetch(
       std::uint64_t offset, std::size_t max_records,
       std::uint64_t max_bytes) const;
@@ -181,6 +183,9 @@ class LogDir {
   /// True while a sync leader is fsyncing with the mutex released.
   bool sync_in_flight_ PE_GUARDED_BY(mutex_) = false;
   std::uint64_t inject_append_failures_ PE_GUARDED_BY(mutex_) = 0;
+  /// append_batch's frame buffer, reused across calls (as
+  /// SegmentWriter::frame_buf_ is) so its capacity never leaves the log.
+  Bytes encode_buf_ PE_GUARDED_BY(mutex_);
   std::thread flusher_;
 };
 

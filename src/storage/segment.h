@@ -115,6 +115,10 @@ class Segment {
   /// when the segment has grown past the cached region).
   Result<std::shared_ptr<MmapRegion>> mapping() const;
 
+  /// Drops the cached mapping; the next mapping() maps the file again.
+  /// Views already handed out keep their region alive on their own.
+  void release_mapping() const { map_.reset(); }
+
   /// File position of the frame holding `offset`; walks forward from the
   /// nearest preceding index entry. Precondition: offset in
   /// [base_offset, end_offset).

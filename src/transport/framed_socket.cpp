@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -113,19 +114,6 @@ Result<FramedSocket> FramedSocket::connect_loopback(std::uint16_t port,
   return FramedSocket(fd);
 }
 
-Status FramedSocket::write_all(const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_unavailable("send()");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return Status::Ok();
-}
-
 Status FramedSocket::send_frame(char type, ByteSpan payload) {
   if (fd_ < 0) return Status::FailedPrecondition("socket closed");
   if (payload.size() > kMaxFrameBytes) {
@@ -143,14 +131,42 @@ Status FramedSocket::send_frame(char type, ByteSpan payload) {
   header[0] = static_cast<std::uint8_t>(type);
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   std::memcpy(header + 1, &len, sizeof(len));
-  if (auto s = write_all(header, sizeof(header)); !s.ok()) return s;
-  if (!payload.empty()) {
-    if (auto s = write_all(payload.data(), payload.size()); !s.ok()) return s;
+  // Header and payload leave in one sendmsg; after a partial write the
+  // iovecs are advanced past the bytes the kernel took.
+  struct ::iovec iov[2];
+  iov[0].iov_base = header;
+  iov[0].iov_len = sizeof(header);
+  iov[1].iov_base = const_cast<std::uint8_t*>(payload.data());
+  iov[1].iov_len = payload.size();
+  struct ::msghdr msg {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno_unavailable("sendmsg()");
+    }
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base =
+          static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
-  auto& reg = tel::MetricsRegistry::global();
-  reg.counter("transport.frames_out").add();
-  reg.counter("transport.frame_bytes_out").add(sizeof(header) +
-                                               payload.size());
+  // Resolved once: a registry lookup takes a mutex, probes a map and
+  // allocates the name, on every frame.
+  static tel::Counter& frames_out =
+      tel::MetricsRegistry::global().counter("transport.frames_out");
+  static tel::Counter& frame_bytes_out =
+      tel::MetricsRegistry::global().counter("transport.frame_bytes_out");
+  frames_out.add();
+  frame_bytes_out.add(sizeof(header) + payload.size());
   return Status::Ok();
 }
 
@@ -200,9 +216,12 @@ Result<Frame> FramedSocket::recv_frame(Duration timeout) {
   Frame frame;
   frame.type = static_cast<char>(header[0]);
   frame.payload = broker::Payload(std::shared_ptr<const Bytes>(buf));
-  auto& reg = tel::MetricsRegistry::global();
-  reg.counter("transport.frames_in").add();
-  reg.counter("transport.frame_bytes_in").add(sizeof(header) + len);
+  static tel::Counter& frames_in =
+      tel::MetricsRegistry::global().counter("transport.frames_in");
+  static tel::Counter& frame_bytes_in =
+      tel::MetricsRegistry::global().counter("transport.frame_bytes_in");
+  frames_in.add();
+  frame_bytes_in.add(sizeof(header) + len);
   return frame;
 }
 

@@ -67,8 +67,8 @@ class FramedSocket {
   void set_fabric(std::shared_ptr<net::Fabric> fabric, net::SiteId from,
                   net::SiteId to);
 
-  /// Sends one frame (blocking; the kernel buffer is the only queue).
-  /// EPIPE/reset -> UNAVAILABLE.
+  /// Sends one frame, header and payload in one sendmsg (blocking; the
+  /// kernel buffer is the only queue). EPIPE/reset -> UNAVAILABLE.
   Status send_frame(char type, ByteSpan payload);
 
   /// Receives one frame, waiting up to `timeout` for the first header
@@ -80,7 +80,6 @@ class FramedSocket {
  private:
   explicit FramedSocket(int fd) : fd_(fd) {}
 
-  Status write_all(const std::uint8_t* data, std::size_t size);
   Status read_all(std::uint8_t* data, std::size_t size, TimePoint deadline);
 
   int fd_ = -1;

@@ -239,16 +239,12 @@ Status ShmRing::push(ByteSpan payload, Duration timeout) {
     return Status::InvalidArgument("payload larger than ring capacity");
   }
   auto s = try_push_once(payload);
-  if (s.ok() || timeout <= Duration::zero()) {
-    if (!s.ok()) {
-      stats_.full_waits += 1;
-      tel::MetricsRegistry::global().counter("transport.ring_full_waits")
-          .add();
-    }
-    return s.ok() ? s : Status::Timeout("ring full");
-  }
+  if (s.ok()) return s;
+  static tel::Counter& full_waits =
+      tel::MetricsRegistry::global().counter("transport.ring_full_waits");
   stats_.full_waits += 1;
-  tel::MetricsRegistry::global().counter("transport.ring_full_waits").add();
+  full_waits.add();
+  if (timeout <= Duration::zero()) return Status::Timeout("ring full");
   const auto deadline = Clock::now() + timeout;
   while (Clock::now() < deadline) {
     Clock::sleep_exact(std::chrono::microseconds(50));

@@ -12,31 +12,31 @@ namespace {
 
 TEST(BufferPoolTest, AcquireReservesAtLeastHint) {
   BufferPool pool;
-  Bytes buf = pool.acquire(1024);
-  EXPECT_TRUE(buf.empty());
-  EXPECT_GE(buf.capacity(), 1024u);
+  std::shared_ptr<Bytes> buf = pool.acquire_shared(1024);
+  EXPECT_TRUE(buf->empty());
+  EXPECT_GE(buf->capacity(), 1024u);
   EXPECT_EQ(pool.stats().misses, 1u);
 }
 
 TEST(BufferPoolTest, ReleaseRecyclesCapacity) {
   BufferPool pool;
-  Bytes buf = pool.acquire(4096);
-  buf.assign(4096, 0xAB);
-  const Bytes::value_type* data = buf.data();
-  pool.release(std::move(buf));
+  std::shared_ptr<Bytes> buf = pool.acquire_shared(4096);
+  buf->assign(4096, 0xAB);
+  const Bytes::value_type* data = buf->data();
+  buf.reset();
   EXPECT_EQ(pool.free_count(), 1u);
 
-  Bytes again = pool.acquire(100);
+  std::shared_ptr<Bytes> again = pool.acquire_shared(100);
   // Same allocation came back, emptied, capacity intact.
-  EXPECT_EQ(again.data(), data);
-  EXPECT_TRUE(again.empty());
-  EXPECT_GE(again.capacity(), 4096u);
+  EXPECT_EQ(again->data(), data);
+  EXPECT_TRUE(again->empty());
+  EXPECT_GE(again->capacity(), 4096u);
   EXPECT_EQ(pool.stats().hits, 1u);
 }
 
 TEST(BufferPoolTest, EmptyBuffersAreNotPooled) {
   BufferPool pool;
-  pool.release(Bytes{});  // capacity 0: nothing worth recycling
+  pool.acquire_shared(0).reset();  // capacity 0: nothing worth recycling
   EXPECT_EQ(pool.free_count(), 0u);
   EXPECT_EQ(pool.stats().discards, 0u);  // not counted as a discard either
 }
@@ -45,8 +45,9 @@ TEST(BufferPoolTest, OversizedBuffersAreDiscarded) {
   BufferPool::Options options;
   options.max_buffer_bytes = 128;
   BufferPool pool(options);
-  Bytes big(4096, 0x1);
-  pool.release(std::move(big));
+  std::shared_ptr<Bytes> big = pool.acquire_shared();
+  big->assign(4096, 0x1);
+  big.reset();
   EXPECT_EQ(pool.free_count(), 0u);
   EXPECT_EQ(pool.stats().discards, 1u);
 }
@@ -55,7 +56,9 @@ TEST(BufferPoolTest, FreeListIsBounded) {
   BufferPool::Options options;
   options.max_buffers = 2;
   BufferPool pool(options);
-  for (int i = 0; i < 5; ++i) pool.release(Bytes(64, 0x2));
+  std::vector<std::shared_ptr<Bytes>> held;
+  for (int i = 0; i < 5; ++i) held.push_back(pool.acquire_shared(64));
+  held.clear();
   EXPECT_EQ(pool.free_count(), 2u);
   EXPECT_EQ(pool.stats().discards, 3u);
 }
@@ -71,8 +74,8 @@ TEST(BufferPoolTest, SharedHandleReturnsToPoolOnLastRelease) {
   }
   EXPECT_EQ(pool.free_count(), 1u);
   // And it is handed out again on the next acquire.
-  Bytes reused = pool.acquire(1);
-  EXPECT_GE(reused.capacity(), 256u);
+  std::shared_ptr<Bytes> reused = pool.acquire_shared(1);
+  EXPECT_GE(reused->capacity(), 256u);
   EXPECT_EQ(pool.stats().hits, 1u);
 }
 
@@ -85,10 +88,10 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseSmoke) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        Bytes buf = pool.acquire(static_cast<std::size_t>(64 + (i % 512)));
-        buf.push_back(static_cast<std::uint8_t>(t));
-        bytes_written.fetch_add(buf.size(), std::memory_order_relaxed);
-        pool.release(std::move(buf));
+        std::shared_ptr<Bytes> buf =
+            pool.acquire_shared(static_cast<std::size_t>(64 + (i % 512)));
+        buf->push_back(static_cast<std::uint8_t>(t));
+        bytes_written.fetch_add(buf->size(), std::memory_order_relaxed);
       }
     });
   }

@@ -6,10 +6,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/buffer_pool.h"
+#include "data/codec.h"
 #include "telemetry/metrics.h"
 
 namespace pe::storage {
@@ -452,6 +455,64 @@ TEST_F(LogDirTest, AppendBatchRollsSegmentsMidBatch) {
     EXPECT_EQ(fetched.value()[static_cast<std::size_t>(i)].record.key,
               "k" + std::to_string(i));
   }
+}
+
+// --- memory held by the write and read paths ---
+
+TEST_F(LogDirTest, AppendBatchFrameBufferIsNotHandedToPayloads) {
+  // A ~103 KB batch-frame buffer returned to BufferPool::global() would
+  // be the next buffer encode_shared hands out, and a 6.4 KB payload
+  // would then pin it for the payload's whole life.
+  StorageConfig config;
+  config.flush_policy = FlushPolicy::kEverySync;
+  auto log = open(config);
+  // Hold whatever is already pooled, so only buffers this append returns
+  // to the pool could reach the payloads below.
+  std::vector<std::shared_ptr<Bytes>> drained;
+  while (BufferPool::global().free_count() > 0) {
+    drained.push_back(BufferPool::global().acquire_shared());
+  }
+  std::vector<broker::Record> records;
+  for (int i = 0; i < 16; ++i) records.push_back(make_record("k", 6400));
+  std::vector<TimestampedRecord> batch;
+  for (const auto& r : records) batch.push_back({&r, 7});
+  ASSERT_TRUE(log->append_batch(batch).ok());
+
+  data::DataBlock block;  // 25 x 32 doubles: a 6.4 KB payload
+  block.rows = 25;
+  block.cols = 32;
+  block.values.assign(block.rows * block.cols, 1.0);
+  std::vector<std::shared_ptr<const Bytes>> payloads;
+  for (int i = 0; i < 16; ++i) {
+    payloads.push_back(data::Codec::encode_shared(block));
+    EXPECT_LT(payloads.back()->capacity(), 2 * payloads.back()->size())
+        << "payload " << i;
+  }
+}
+
+TEST_F(LogDirTest, FetchPastSealedSegmentReleasesItsMapping) {
+  StorageConfig config;
+  config.segment_max_bytes = 512;
+  auto log = open(config);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(log->append(make_record("k", 100, 0x3c), 1 + i).ok());
+  }
+  ASSERT_GT(log->segment_count(), 2u);
+  std::weak_ptr<const void> first_segment;
+  {
+    auto fetched = log->fetch(0, 100, kNoByteLimit);  // walks every segment
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_EQ(fetched.value().size(), 12u);
+    first_segment = fetched.value().front().record.value.shared();
+    EXPECT_FALSE(first_segment.expired());  // the records own the region
+  }
+  // The log kept no mapping of the sealed segment once the records went.
+  EXPECT_TRUE(first_segment.expired());
+  // A later fetch maps it again.
+  auto again = log->fetch(0, 1, kNoByteLimit);
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(again.value().size(), 1u);
+  EXPECT_EQ(again.value()[0].record.value[0], 0x3c);
 }
 
 // --- injected append failures ---

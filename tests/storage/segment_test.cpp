@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #include "storage/crc32c.h"
 
@@ -71,6 +72,42 @@ TEST(Crc32c, SeedChains) {
   EXPECT_EQ(crc32c(data.data() + 3, 3, first), whole);
 }
 
+TEST(Crc32c, KernelsAgree) {
+  const char* check = "123456789";  // RFC 3720 check value
+  EXPECT_EQ(detail::crc32c_table(check, 9, 0), 0xE3069283u);
+#if defined(__x86_64__)
+  if (!detail::cpu_has_sse42()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  EXPECT_EQ(detail::crc32c_sse42(check, 9, 0), 0xE3069283u);
+
+  // Random lengths at every start offset mod 8, so the 8-byte loop, the
+  // byte tail and unaligned loads all get compared against the table.
+  std::mt19937_64 rng(0xC5C32C);
+  Bytes buf(9000 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t len = rng() % 9001;
+    const std::uint8_t* p = buf.data() + i % 8;
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const std::uint32_t want = detail::crc32c_table(p, len, seed);
+    ASSERT_EQ(detail::crc32c_sse42(p, len, seed), want)
+        << "len " << len << " start " << i % 8;
+    ASSERT_EQ(crc32c(p, len, seed), want);
+    // Seeds chain across kernels in both directions.
+    const std::size_t cut = rng() % (len + 1);
+    ASSERT_EQ(detail::crc32c_sse42(p + cut, len - cut,
+                                   detail::crc32c_table(p, cut, seed)),
+              want)
+        << "table then sse4.2, cut " << cut << " of " << len;
+    ASSERT_EQ(detail::crc32c_table(p + cut, len - cut,
+                                   detail::crc32c_sse42(p, cut, seed)),
+              want)
+        << "sse4.2 then table, cut " << cut << " of " << len;
+  }
+#else
+  GTEST_SKIP() << "no SSE4.2 kernel on this architecture";
+#endif
+}
+
 TEST(Frame, EncodeParseRoundTrip) {
   Bytes buf;
   auto record = make_record("key", 100, 0x42);
@@ -99,15 +136,27 @@ TEST(Frame, TruncationIsTorn) {
 }
 
 TEST(Frame, BitFlipIsTorn) {
-  Bytes buf;
-  encode_frame(buf, 0, 1, make_record("k", 64));
-  for (std::size_t i = kFrameHeaderBytes; i < buf.size(); i += 13) {
-    Bytes corrupt = buf;
-    corrupt[i] ^= 0x80;
-    FrameView v;
-    EXPECT_EQ(parse_frame(corrupt.data(), corrupt.size(), &v),
-              FrameParse::kTorn)
-        << "bit flip at byte " << i << " went undetected";
+  // 64 B sits mostly in the 8-byte loop; 6 400 B is a durable_quorum-size
+  // record whose 6 433-byte body also ends in a byte tail.
+  for (const std::size_t value_size : {64u, 6400u}) {
+    Bytes buf;
+    encode_frame(buf, 0, 1, make_record("k", value_size));
+    std::vector<std::size_t> flips;
+    for (std::size_t i = kFrameHeaderBytes; i < buf.size(); i += 13) {
+      flips.push_back(i);
+    }
+    for (std::size_t i = buf.size() - 8; i < buf.size(); ++i) {
+      flips.push_back(i);
+    }
+    for (const std::size_t i : flips) {
+      Bytes corrupt = buf;
+      corrupt[i] ^= 0x80;
+      FrameView v;
+      EXPECT_EQ(parse_frame(corrupt.data(), corrupt.size(), &v),
+                FrameParse::kTorn)
+          << "bit flip at byte " << i << " of a " << value_size
+          << "-byte value went undetected";
+    }
   }
 }
 

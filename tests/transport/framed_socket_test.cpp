@@ -55,6 +55,30 @@ TEST(FramedSocketTest, RoundTripsTypedFrames) {
   EXPECT_EQ(hb.value().payload.size(), 0u);
 }
 
+TEST(FramedSocketTest, LargeFrameCrossesManySendBuffers) {
+  auto listener = FramedListener::listen_loopback();
+  ASSERT_TRUE(listener.ok());
+  auto pair = make_pair(listener.value());
+  // A small send buffer makes the one sendmsg of header + payload drain
+  // through many kernel refills while the peer reads.
+  int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(pair.client.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+  Bytes payload(3u << 20);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + (i >> 13));
+  }
+  Result<Frame> frame = Status::Internal("not received");
+  std::thread reader([&] { frame = pair.server.recv_frame(10s); });
+  const Status sent = pair.client.send_frame(kFrameBinary, payload);
+  reader.join();
+  ASSERT_TRUE(sent.ok()) << sent.to_string();
+  ASSERT_TRUE(frame.ok()) << frame.status().to_string();
+  EXPECT_EQ(frame.value().type, kFrameBinary);
+  EXPECT_TRUE(frame.value().payload == payload);
+}
+
 TEST(FramedSocketTest, RecvTimesOutTransiently) {
   auto listener = FramedListener::listen_loopback();
   ASSERT_TRUE(listener.ok());

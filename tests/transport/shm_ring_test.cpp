@@ -151,27 +151,37 @@ TEST_F(ShmRingTest, WrapMarkerKeepsFramesContiguous) {
 }
 
 TEST_F(ShmRingTest, CrcMismatchPoisonsTheFrame) {
-  name_ = unique_name("crc");
-  auto producer = ShmRing::create(name_, 4096);
-  ASSERT_TRUE(producer.ok());
-  auto consumer = ShmRing::open(name_);
-  ASSERT_TRUE(consumer.ok());
+  // Lengths below, at and around the CRC kernel's 8-byte step, each
+  // corrupted at its first, middle and last byte.
+  for (const std::size_t len : {1u, 7u, 64u, 100u}) {
+    for (const std::size_t at : {std::size_t{0}, len / 2, len - 1}) {
+      SCOPED_TRACE("len " + std::to_string(len) + " flip at " +
+                   std::to_string(at));
+      name_ = unique_name("crc");
+      auto producer = ShmRing::create(name_, 4096);
+      ASSERT_TRUE(producer.ok());
+      auto consumer = ShmRing::open(name_);
+      ASSERT_TRUE(consumer.ok());
 
-  ASSERT_TRUE(producer.value()->push(pattern_payload(64, 0x5A)).ok());
-  auto peek = consumer.value()->pop();
-  ASSERT_TRUE(peek.ok());
-  // Corrupt the payload THROUGH the zero-copy view (it aliases shared
-  // memory, so this scribbles on the actual ring bytes)...
-  const_cast<std::uint8_t*>(peek.value().data())[0] ^= 0xFF;
+      ASSERT_TRUE(producer.value()->push(pattern_payload(len, 0x5A)).ok());
+      auto peek = consumer.value()->pop();
+      ASSERT_TRUE(peek.ok());
+      // Corrupt the payload THROUGH the zero-copy view (it aliases shared
+      // memory, so this scribbles on the actual ring bytes)...
+      const_cast<std::uint8_t*>(peek.value().data())[at] ^= 0xFF;
 
-  // ...then re-open a fresh consumer at position zero: it must detect
-  // the mismatch and refuse the frame.
-  auto fresh = ShmRing::open(name_);
-  ASSERT_TRUE(fresh.ok());
-  auto corrupted = fresh.value()->pop();
-  EXPECT_FALSE(corrupted.ok());
-  EXPECT_EQ(corrupted.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(fresh.value()->stats().crc_errors, 1u);
+      // ...then re-open a fresh consumer at position zero: it must detect
+      // the mismatch and refuse the frame.
+      auto fresh = ShmRing::open(name_);
+      ASSERT_TRUE(fresh.ok());
+      auto corrupted = fresh.value()->pop();
+      EXPECT_FALSE(corrupted.ok());
+      EXPECT_EQ(corrupted.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(fresh.value()->stats().crc_errors, 1u);
+      ASSERT_TRUE(ShmRing::unlink(name_).ok());
+      name_.clear();
+    }
+  }
 }
 
 TEST_F(ShmRingTest, FullRingPushTimesOutTransiently) {
