@@ -58,7 +58,9 @@ PartitionLog::PartitionLog(RetentionPolicy retention, std::string durable_dir,
     return;
   }
   log_dir_ = std::move(opened).value();
+  MutexLock lock(mutex_);
   next_offset_ = log_dir_->end_offset();
+  publish_end_locked();
 }
 
 namespace {
@@ -93,6 +95,7 @@ Result<std::uint64_t> PartitionLog::append(Record record) {
     offset = next_offset_++;
     add_hot_bytes_locked(static_cast<std::int64_t>(record.wire_size()));
     entries_.push_back(Entry{offset, now_ns, std::move(record)});
+    publish_end_locked();
     enforce_retention_locked();
   }
   data_available_.notify_all();
@@ -132,6 +135,7 @@ Result<std::uint64_t> PartitionLog::append_batch(std::vector<Record> records) {
       entries_.push_back(Entry{next_offset_++, now_ns,
                                std::move(records[i])});
     }
+    publish_end_locked();
     any_appended = accepted > 0;
     enforce_retention_locked();
     if (!durable.ok()) {
@@ -175,6 +179,7 @@ Result<std::uint64_t> PartitionLog::append_replicated(
                                records[i].broker_timestamp_ns,
                                std::move(records[i].record)});
     }
+    publish_end_locked();
     any_appended = accepted > 0;
     enforce_retention_locked();
     if (!durable.ok()) {
@@ -202,6 +207,7 @@ Status PartitionLog::truncate_suffix(std::uint64_t offset) {
     entries_.pop_back();
   }
   next_offset_ = offset;
+  publish_end_locked();
   if (log_dir_) {
     if (auto s = log_dir_->truncate_suffix(offset); !s.ok()) return s;
   }
@@ -274,11 +280,6 @@ std::uint64_t PartitionLog::log_start_offset() const {
   MutexLock lock(mutex_);
   if (log_dir_) return log_dir_->start_offset();
   return entries_.empty() ? next_offset_ : entries_.front().offset;
-}
-
-std::uint64_t PartitionLog::end_offset() const {
-  MutexLock lock(mutex_);
-  return next_offset_;
 }
 
 std::uint64_t PartitionLog::record_count() const {

@@ -131,8 +131,12 @@ class PartitionLog {
   /// offsetsForTimes semantics; timestamps are append-monotonic).
   std::uint64_t offset_for_timestamp(std::uint64_t ts_ns) const;
 
-  /// Offset that the *next* appended record will receive.
-  std::uint64_t end_offset() const;
+  /// Offset that the *next* appended record will receive. Lock-free: it
+  /// never waits behind an append holding the log across the disk, and a
+  /// fetch of any offset below the value it returns succeeds.
+  std::uint64_t end_offset() const {
+    return end_offset_.load(std::memory_order_acquire);
+  }
 
   std::uint64_t record_count() const;
   std::uint64_t byte_size() const;
@@ -162,6 +166,10 @@ class PartitionLog {
   };
 
   void enforce_retention_locked() PE_REQUIRES(mutex_);
+  /// Publishes next_offset_ to end_offset(); called wherever it changes.
+  void publish_end_locked() PE_REQUIRES(mutex_) {
+    end_offset_.store(next_offset_, std::memory_order_release);
+  }
   /// Single mutation point for bytes_: keeps the shared hot-bytes counter
   /// exactly in sync with the deque.
   void add_hot_bytes_locked(std::int64_t delta) PE_REQUIRES(mutex_);
@@ -175,6 +183,10 @@ class PartitionLog {
   mutable CondVar data_available_;
   std::deque<Entry> entries_ PE_GUARDED_BY(mutex_);
   std::uint64_t next_offset_ PE_GUARDED_BY(mutex_) = 0;
+  /// next_offset_ as of the last publish_end_locked(): stored once the
+  /// durable write and the hot-window push are done, so a reader that
+  /// sees it can fetch everything below it.
+  std::atomic<std::uint64_t> end_offset_{0};
   std::uint64_t bytes_ PE_GUARDED_BY(mutex_) = 0;
   std::shared_ptr<std::atomic<std::int64_t>> hot_counter_
       PE_GUARDED_BY(mutex_);

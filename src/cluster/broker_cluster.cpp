@@ -360,9 +360,11 @@ Result<std::uint64_t> BrokerCluster::produce(
     if (!appended.ok()) return appended.status();
     first = appended.value();
   }
-  tel::MetricsRegistry::global()
-      .counter("cluster.records_produced")
-      .add(records.size());
+  // Resolved once: a registry lookup per produce takes a mutex and
+  // allocates the name.
+  static tel::Counter& records_produced =
+      tel::MetricsRegistry::global().counter("cluster.records_produced");
+  records_produced.add(records.size());
   if (wait.satisfied >= wait.required) return first;
   if (auto s = await_acks(topic, partition, wait); !s.ok()) return s;
   return first;
@@ -888,9 +890,10 @@ std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase() {
           }
           f_end += n;
           copied += n;
-          tel::MetricsRegistry::global()
-              .counter("cluster.replicated_records")
-              .add(n);
+          static tel::Counter& replicated_records =
+              tel::MetricsRegistry::global().counter(
+                  "cluster.replicated_records");
+          replicated_records.add(n);
         }
         if (l_end - f_end <= options_.isr_max_lag_records) isr.push_back(r);
       }

@@ -1,6 +1,11 @@
 #include "storage/log_dir.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <thread>
@@ -28,10 +33,20 @@ constexpr int kLeaderChoreBudget = 8;
 /// capacity; a larger one (a replication catch-up batch) is freed.
 constexpr std::size_t kEncodeBufKeepBytes = 1u << 20;
 
+// Registry handles, resolved once: rolls and retention run on the produce
+// path of a log at its retention limit.
+tel::Counter& segments_created() {
+  static tel::Counter& c =
+      tel::MetricsRegistry::global().counter("storage.segments_created");
+  return c;
+}
+
 }  // namespace
 
 LogDir::LogDir(std::string dir, StorageConfig config)
-    : dir_(std::move(dir)), config_(config) {}
+    : dir_(std::move(dir)),
+      slot_path_((fs::path(dir_) / kRecycleSlotFileName).string()),
+      config_(config) {}
 
 Result<std::unique_ptr<LogDir>> LogDir::open(std::string dir,
                                              StorageConfig config,
@@ -94,6 +109,7 @@ Status LogDir::recover_locked(RecoveryReport* report) {
 
   // Collect segment files in base-offset order.
   std::vector<std::pair<std::uint64_t, std::string>> files;
+  bool leftover_slot = false;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     std::uint64_t base = 0;
@@ -101,9 +117,16 @@ Status LogDir::recover_locked(RecoveryReport* report) {
     if (parse_segment_file_name(name, &base)) {
       files.emplace_back(base, entry.path().string());
     }
+    leftover_slot = leftover_slot || name == kRecycleSlotFileName;
   }
   if (ec) {
     return Status::Internal("list '" + dir_ + "': " + ec.message());
+  }
+  // A recycle slot left by the last run holds only retained-away records.
+  if (leftover_slot) fs::remove(slot_path_, ec);
+  if (ec) {
+    return Status::Internal("remove recycle slot '" + slot_path_ +
+                            "': " + ec.message());
   }
   std::sort(files.begin(), files.end());
 
@@ -170,7 +193,7 @@ Status LogDir::recover_locked(RecoveryReport* report) {
         (fs::path(dir_) / segment_file_name(0)).string(), 0,
         config_.index_interval_bytes);
     segments_.push_back(std::move(segment));
-    metrics.counter("storage.segments_created").add();
+    segments_created().add();
   }
 
   // The last surviving segment becomes the active one; its writer's open
@@ -298,16 +321,55 @@ Status LogDir::roll_locked(UniqueLock& lock) {
   }
   // Seal the active segment: everything in it becomes durable at the
   // roll, so a sealed segment is never part of the unsynced tail.
-  if (auto s = writer_->sync(); !s.ok()) return s;
+  if (auto s = writer_->seal(); !s.ok()) return s;
   const std::uint64_t base = end_offset_locked();
-  auto segment = std::make_unique<Segment>(
-      (fs::path(dir_) / segment_file_name(base)).string(), base,
-      config_.index_interval_bytes);
-  auto writer = SegmentWriter::open(segment.get());
+  const std::string path = (fs::path(dir_) / segment_file_name(base)).string();
+  auto segment =
+      std::make_unique<Segment>(path, base, config_.index_interval_bytes);
+  bool recycled = false;
+  if (slot_full_) {
+    slot_full_ = false;
+    std::error_code ec;
+    fs::rename(slot_path_, path, ec);
+    if (ec) {
+      PE_LOG_WARN("roll: rename recycle slot to '" << path
+                                                   << "': " << ec.message());
+      fs::remove(slot_path_, ec);
+    } else {
+      recycled = true;
+    }
+  }
+  auto writer = recycled ? SegmentWriter::open_recycled(segment.get())
+                         : SegmentWriter::open(segment.get());
   if (!writer.ok()) return writer.status();
+  // The new name must be durable before any record under it is acked: a
+  // crash must not leave acked records in a file that recovery finds
+  // under the slot's name (and deletes) or under no name at all.
+  if (auto s = sync_dir(); !s.ok()) return s;
   segments_.push_back(std::move(segment));
   writer_ = std::move(writer).value();
-  tel::MetricsRegistry::global().counter("storage.segments_created").add();
+  segments_created().add();
+  if (recycled) {
+    static tel::Counter& segments_recycled =
+        tel::MetricsRegistry::global().counter("storage.segments_recycled");
+    segments_recycled.add();
+  }
+  return Status::Ok();
+}
+
+Status LogDir::sync_dir() const {
+  const int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::Internal("open dir '" + dir_ +
+                            "': " + std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return Status::Internal("fsync dir '" + dir_ +
+                            "': " + std::strerror(err));
+  }
   return Status::Ok();
 }
 
@@ -678,19 +740,27 @@ std::size_t LogDir::apply_retention(std::uint64_t max_records,
     if (!over_records && !over_bytes && !expired) break;
     total_records -= oldest.record_count();
     total_bytes -= oldest.bytes();
+    // Recycle only a file no reader maps: an overwrite would change the
+    // bytes under its views. Mapped views outlive an unlink instead.
+    oldest.release_mapping();
     std::error_code ec;
-    fs::remove(oldest.path(), ec);  // mapped views outlive the unlink
+    bool recycled = false;
+    if (!slot_full_ && !oldest.has_live_mapping()) {
+      fs::rename(oldest.path(), slot_path_, ec);
+      recycled = slot_full_ = !ec;
+    }
+    if (!recycled) fs::remove(oldest.path(), ec);
     if (ec) {
-      PE_LOG_WARN("retention: remove '" << oldest.path()
-                                        << "': " << ec.message());
+      PE_LOG_WARN("retention: drop '" << oldest.path()
+                                      << "': " << ec.message());
     }
     segments_.erase(segments_.begin());
     dropped += 1;
   }
   if (dropped > 0) {
-    tel::MetricsRegistry::global()
-        .counter("storage.segments_dropped")
-        .add(dropped);
+    static tel::Counter& segments_dropped =
+        tel::MetricsRegistry::global().counter("storage.segments_dropped");
+    segments_dropped.add(dropped);
   }
   return dropped;
 }

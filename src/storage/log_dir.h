@@ -10,6 +10,13 @@
 // broker::Payload views. Retention removes whole segments, never parts
 // of one.
 //
+// A log at its retention limit recycles: the segment retention drops is
+// renamed into a one-file recycle slot instead of being unlinked (unless
+// a reader still maps it), and the next roll renames it to the new
+// segment's name and overwrites it from byte 0. The write lands on pages
+// the file already holds rather than on freshly allocated ones; recovery
+// tells the stale frames behind the valid bytes apart by their offsets.
+//
 // Sync is group-committed: under kEverySync, concurrent appenders do not
 // serialize one fsync each — the first becomes the sync leader, releases
 // the mutex around the fsync, and every appender whose bytes that fsync
@@ -43,6 +50,10 @@ struct TimestampedRecord {
   const broker::Record* record = nullptr;
   std::uint64_t broker_timestamp_ns = 0;
 };
+
+/// File name of a log directory's recycle slot. Not a segment name, so
+/// recovery never scans it; open() deletes a leftover one.
+inline constexpr char kRecycleSlotFileName[] = "recycle.slot";
 
 class LogDir {
  public:
@@ -125,7 +136,9 @@ class LogDir {
   /// while (a) the log without it still holds >= max_records records /
   /// >= max_bytes bytes, or (b) every record in it is older than
   /// min_timestamp_ns. Zero disables a bound. The active segment is never
-  /// dropped. Returns how many segments were removed.
+  /// dropped. A dropped segment fills the empty recycle slot when no
+  /// reader maps it; otherwise it is unlinked. Returns how many segments
+  /// were removed.
   std::size_t apply_retention(std::uint64_t max_records,
                               std::uint64_t max_bytes,
                               std::uint64_t min_timestamp_ns);
@@ -151,7 +164,10 @@ class LogDir {
   Status recover_locked(RecoveryReport* report) PE_REQUIRES(mutex_);
   /// May release and re-acquire `lock` while waiting for an in-flight
   /// group sync to finish; re-checks the roll race and closed_ after.
+  /// Takes the new segment's file from the recycle slot when it is full.
   Status roll_locked(UniqueLock& lock) PE_REQUIRES(mutex_);
+  /// fsyncs the directory, making created and renamed entries durable.
+  Status sync_dir() const;
   /// Group-commit sync: returns once a sync covering the active segment's
   /// current bytes has completed. The leader fsyncs with the mutex
   /// released; waiters piggyback. Releases and re-acquires `lock`.
@@ -169,6 +185,7 @@ class LogDir {
   void stop_flusher();
 
   const std::string dir_;
+  const std::string slot_path_;
   const StorageConfig config_;
   // Level 4 in the broker lock domain: legally acquired under the broker
   // registry (1), a partition log (2), or the group coordinator (3).
@@ -179,6 +196,8 @@ class LogDir {
   std::vector<std::unique_ptr<Segment>> segments_ PE_GUARDED_BY(mutex_);
   std::unique_ptr<SegmentWriter> writer_ PE_GUARDED_BY(mutex_);
   bool closed_ PE_GUARDED_BY(mutex_) = false;
+  /// True while the recycle slot holds a retained-away segment's file.
+  bool slot_full_ PE_GUARDED_BY(mutex_) = false;
   bool stop_flusher_ PE_GUARDED_BY(mutex_) = false;
   /// True while a sync leader is fsyncing with the mutex released.
   bool sync_in_flight_ PE_GUARDED_BY(mutex_) = false;

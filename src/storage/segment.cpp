@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -187,7 +188,8 @@ Result<Segment::ScanResult> Segment::scan() {
         FrameParse::kOk) {
       break;  // torn tail: valid data ends at `pos`
     }
-    if (frame.offset != expect) break;  // density violated: treat as torn
+    // Density violated: a torn tail, or a recycled file's stale frames.
+    if (frame.offset != expect) break;
     note_append(frame.offset, frame.broker_timestamp_ns, pos,
                 frame.frame_bytes);
     pos += frame.frame_bytes;
@@ -205,8 +207,16 @@ Result<std::shared_ptr<MmapRegion>> Segment::mapping() const {
     auto mapped = MmapRegion::map(path_, bytes_);
     if (!mapped.ok()) return mapped.status();
     map_ = std::move(mapped).value();
+    std::erase_if(handed_out_,
+                  [](const auto& region) { return region.expired(); });
+    handed_out_.push_back(map_);
   }
   return map_;
+}
+
+bool Segment::has_live_mapping() const {
+  return std::any_of(handed_out_.begin(), handed_out_.end(),
+                     [](const auto& region) { return !region.expired(); });
 }
 
 Result<std::uint64_t> Segment::position_of(std::uint64_t offset) const {

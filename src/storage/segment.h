@@ -105,6 +105,11 @@ class Segment {
   /// reflects only the valid prefix afterwards. Fails (INTERNAL) when the
   /// first frame is already invalid but the file is non-empty is NOT an
   /// error — that is an all-torn segment with zero records.
+  ///
+  /// The density check is part of the recovery contract, not a sanity
+  /// check: a recycled file's tail holds CRC-valid frames of an older
+  /// offset range, and the first frame whose offset is not the next one
+  /// expected is where the valid data ends.
   Result<ScanResult> scan();
 
   /// Write path bookkeeping for a frame appended at `file_pos`.
@@ -112,12 +117,19 @@ class Segment {
                    std::uint64_t file_pos, std::uint64_t frame_bytes);
 
   /// Mapping covering at least the current valid bytes (cached; remapped
-  /// when the segment has grown past the cached region).
+  /// when the segment has grown past the cached region). Every region it
+  /// maps is remembered weakly, so has_live_mapping() can tell whether a
+  /// reader still holds one.
   Result<std::shared_ptr<MmapRegion>> mapping() const;
 
   /// Drops the cached mapping; the next mapping() maps the file again.
   /// Views already handed out keep their region alive on their own.
   void release_mapping() const { map_.reset(); }
+
+  /// True while any region mapping() handed out (the cached one included)
+  /// is still referenced. A file with a live mapping must not be
+  /// overwritten: the reader's pages are the file's pages.
+  bool has_live_mapping() const;
 
   /// File position of the frame holding `offset`; walks forward from the
   /// nearest preceding index entry. Precondition: offset in
@@ -152,6 +164,7 @@ class Segment {
   bool index_has_entry_ = false;
   std::vector<IndexEntry> index_;
   mutable std::shared_ptr<MmapRegion> map_;
+  mutable std::vector<std::weak_ptr<const MmapRegion>> handed_out_;
 };
 
 /// Formats a segment file name: 20-digit zero-padded base offset + ".seg".

@@ -40,6 +40,20 @@ Result<std::unique_ptr<SegmentWriter>> SegmentWriter::open(Segment* segment) {
   return writer;
 }
 
+Result<std::unique_ptr<SegmentWriter>> SegmentWriter::open_recycled(
+    Segment* segment) {
+  std::unique_ptr<SegmentWriter> writer(new SegmentWriter(segment));
+  const int fd = ::open(segment->path().c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::Internal("open recycled '" + segment->path() +
+                            "': " + std::strerror(errno));
+  }
+  writer->fd_ = fd;  // write position 0: nothing of the old file is valid
+  writer->stale_tail_ = true;
+  writer->synced_offset_ = segment->end_offset();
+  return writer;
+}
+
 SegmentWriter::~SegmentWriter() { close(); }
 
 Status SegmentWriter::write_all(const std::uint8_t* data, std::size_t size) {
@@ -63,6 +77,7 @@ void SegmentWriter::restore_tail() {
   // the garbage and permanently desynchronize file and metadata.
   if (::ftruncate(fd_, static_cast<off_t>(segment_->bytes())) == 0 &&
       ::lseek(fd_, 0, SEEK_END) >= 0) {
+    stale_tail_ = false;
     return;
   }
   PE_LOG_ERROR("segment '" << segment_->path()
@@ -130,9 +145,13 @@ Status SegmentWriter::sync_file_only() {
       std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
           Clock::now() - t0)
           .count();
-  auto& metrics = tel::MetricsRegistry::global();
-  metrics.histogram("storage.fsync_us").record(us);
-  metrics.counter("storage.fsyncs").add();
+  // Resolved once: this runs on every group commit of every replica.
+  static Histogram& fsync_us =
+      tel::MetricsRegistry::global().histogram("storage.fsync_us");
+  static tel::Counter& fsyncs =
+      tel::MetricsRegistry::global().counter("storage.fsyncs");
+  fsync_us.record(us);
+  fsyncs.add();
   return Status::Ok();
 }
 
@@ -174,9 +193,26 @@ Status SegmentWriter::truncate_unsynced(double keep_fraction) {
   return result;
 }
 
+Status SegmentWriter::seal() {
+  if (fd_ < 0) return Status::FailedPrecondition("segment writer closed");
+  if (!stale_tail_) return sync();
+  // Recycled file: the older segment's frames past the valid bytes would
+  // read as a torn tail in the middle of the log. The sync below makes
+  // the shorter length durable along with the data.
+  if (::ftruncate(fd_, static_cast<off_t>(segment_->bytes())) != 0) {
+    return Status::Internal("ftruncate '" + segment_->path() +
+                            "': " + std::strerror(errno));
+  }
+  stale_tail_ = false;
+  const SyncMark mark = begin_sync();
+  if (auto s = sync_file_only(); !s.ok()) return s;
+  note_synced(mark);
+  return Status::Ok();
+}
+
 void SegmentWriter::close() {
   if (fd_ < 0) return;
-  (void)sync();  // clean shutdown persists everything (Kafka does too)
+  (void)seal();  // clean shutdown persists everything (Kafka does too)
   ::close(fd_);
   fd_ = -1;
 }

@@ -46,6 +46,13 @@ class SegmentWriter {
   /// recovered prefix is stably on disk.
   static Result<std::unique_ptr<SegmentWriter>> open(Segment* segment);
 
+  /// Opens a recycled file, already renamed to the empty `segment`'s name,
+  /// without truncating it: appends overwrite the older segment's frames
+  /// from byte 0, on pages the file already holds. Recovery rejects the
+  /// stale frames past the valid bytes by their offsets (Segment::scan).
+  static Result<std::unique_ptr<SegmentWriter>> open_recycled(
+      Segment* segment);
+
   ~SegmentWriter();
 
   SegmentWriter(const SegmentWriter&) = delete;
@@ -97,7 +104,12 @@ class SegmentWriter {
   /// The writer is unusable afterwards.
   Status truncate_unsynced(double keep_fraction);
 
-  /// Clean close: final sync, then close the fd.
+  /// Seals the segment: cuts a recycled file's stale tail at the valid
+  /// bytes, then syncs, so the sealed file holds nothing past its last
+  /// record. A roll seals the outgoing segment.
+  Status seal();
+
+  /// Clean close: seal, then close the fd.
   void close();
 
  private:
@@ -113,6 +125,9 @@ class SegmentWriter {
 
   Segment* segment_;
   int fd_ = -1;
+  /// True while a recycled file may still hold older frames past the
+  /// valid bytes (until seal() or restore_tail() cuts them).
+  bool stale_tail_ = false;
   std::uint64_t synced_bytes_ = 0;
   std::uint64_t synced_offset_ = 0;
   /// Monotone counters; dirty_records() is their difference. Cumulative

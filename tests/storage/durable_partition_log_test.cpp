@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "telemetry/metrics.h"
@@ -317,6 +319,47 @@ TEST_F(DurablePartitionLogTest, DurableRetentionMovesStartBySegments) {
   EXPECT_EQ(fetched.value().size(), 40u - start);
   spec.offset = start - 1;
   EXPECT_FALSE(log.fetch(spec).ok());
+}
+
+// end_offset() takes no lock, yet a reader must find every offset below
+// the value it read, even while the writer is inside a durable append.
+TEST_F(DurablePartitionLogTest, EndOffsetIsFetchableDuringDurableAppends) {
+  // No retention bound: a reader that lags must not fall below the start.
+  RetentionPolicy retention;
+  retention.hot_max_bytes = 8 * 1024;  // lagging reads take the cold path
+  storage::StorageConfig config;
+  config.segment_max_bytes = 16 * 1024;
+  config.flush_policy = storage::FlushPolicy::kEverySync;
+  PartitionLog log(retention, dir_, config);
+  ASSERT_TRUE(log.durable());
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int b = 0; b < 300; ++b) {
+      std::vector<Record> batch;
+      for (int i = 0; i < 8; ++i) batch.push_back(make_record("k", 200));
+      EXPECT_TRUE(log.append_batch(std::move(batch)).ok());
+    }
+    done.store(true);
+  });
+  std::uint64_t reads = 0;
+  std::uint64_t failures = 0;
+  while (!done.load()) {
+    const std::uint64_t e = log.end_offset();
+    if (e == 0) continue;
+    FetchSpec spec;
+    spec.offset = e - 1;
+    spec.max_records = 1;
+    auto fetched = log.fetch(spec);
+    if (!fetched.ok() || fetched.value().empty() ||
+        fetched.value()[0].offset != e - 1) {
+      ++failures;
+    }
+    ++reads;
+  }
+  writer.join();
+  EXPECT_EQ(failures, 0u) << "of " << reads << " reads";
+  EXPECT_EQ(log.end_offset(), 2400u);
 }
 
 }  // namespace

@@ -595,5 +595,179 @@ TEST_F(LogDirTest, OffsetForTimestampWithEmptyActiveSegmentAfterTruncate) {
   EXPECT_EQ(log->offset_for_timestamp(99999), 0u);
 }
 
+// --- recycled segment files ---
+
+// Same-size records: 141-byte frames, three to a 512-byte segment, so a
+// recycled file's stale frames start on frame boundaries and carry valid
+// CRCs. Twelve records fill segments [0,3) [3,6) [6,9) [9,12).
+constexpr std::size_t kRecycleValueBytes = 100;
+constexpr std::uint64_t kRecycleFrameBytes = 141;
+
+StorageConfig recycle_config() {
+  StorageConfig config;
+  config.segment_max_bytes = 512;
+  config.flush_policy = FlushPolicy::kNever;
+  return config;
+}
+
+std::uint64_t recycled_rolls() {
+  return tel::MetricsRegistry::global()
+      .counter("storage.segments_recycled")
+      .value();
+}
+
+class RecycleTest : public LogDirTest {
+ protected:
+  std::string slot() const {
+    return (fs::path(dir_) / kRecycleSlotFileName).string();
+  }
+  std::string segment_path(std::uint64_t base) const {
+    return (fs::path(dir_) / segment_file_name(base)).string();
+  }
+  /// Appends twelve records and retains segment [0,3) away into the slot.
+  std::unique_ptr<LogDir> open_with_full_slot() {
+    auto log = open(recycle_config());
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_TRUE(log->append(make_record("k", kRecycleValueBytes),
+                              1 + static_cast<std::uint64_t>(i))
+                      .ok());
+    }
+    EXPECT_EQ(log->segment_count(), 4u);
+    EXPECT_EQ(log->apply_retention(/*max_records=*/9, 0, 0), 1u);
+    EXPECT_TRUE(fs::exists(slot()));
+    EXPECT_FALSE(fs::exists(segment_path(0)));
+    return log;
+  }
+  /// Appends `n` records from offset 12 on; the first rolls a segment.
+  void append_after_roll(LogDir& log, int n) {
+    for (int i = 0; i < n; ++i) {
+      auto appended =
+          log.append(make_record("n", kRecycleValueBytes, 0x99),
+                     100 + static_cast<std::uint64_t>(i));
+      ASSERT_TRUE(appended.ok());
+      EXPECT_EQ(appended.value(), 12u + static_cast<std::uint64_t>(i));
+    }
+  }
+};
+
+TEST_F(RecycleTest, RollReusesSlotAndRecoveryRejectsStaleTailByOffset) {
+  auto log = open_with_full_slot();
+  const std::uint64_t rolls_before = recycled_rolls();
+  append_after_roll(*log, 2);
+  EXPECT_EQ(recycled_rolls(), rolls_before + 1);
+  EXPECT_FALSE(fs::exists(slot()));
+  // The new segment [12,...) is the old [0,3) file, overwritten in place:
+  // two fresh frames, then the old file's third frame (offset 2).
+  EXPECT_EQ(fs::file_size(segment_path(12)), 3 * kRecycleFrameBytes);
+  ASSERT_TRUE(log->sync().ok());
+
+  // A power cut after the sync keeps the file at its full length, stale
+  // tail included. Copy the directory byte for byte while the log is open.
+  const std::string copy = dir_ + "_copy";
+  fs::remove_all(copy);
+  fs::create_directories(copy);
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    fs::copy_file(entry.path(), fs::path(copy) / entry.path().filename());
+  }
+  {  // the recovered log closes before the copy is removed
+    RecoveryReport report;
+    auto recovered = LogDir::open(copy, recycle_config(), &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+    EXPECT_EQ(recovered.value()->end_offset(), 14u);
+    EXPECT_EQ(report.torn_bytes_truncated, kRecycleFrameBytes);
+    auto fetched = recovered.value()->fetch(3, 100, kNoByteLimit);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_EQ(fetched.value().size(), 11u);
+    for (std::size_t i = 0; i < fetched.value().size(); ++i) {
+      EXPECT_EQ(fetched.value()[i].offset, 3 + i);
+    }
+    EXPECT_EQ(fetched.value()[10].record.key, "n");
+    EXPECT_EQ(fetched.value()[10].record.value[0], 0x99);
+  }
+  fs::remove_all(copy);
+}
+
+TEST_F(RecycleTest, LiveViewOfDroppedSegmentForcesUnlink) {
+  auto log = open(recycle_config());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(log->append(make_record("k", kRecycleValueBytes, 0x5a),
+                            1 + static_cast<std::uint64_t>(i))
+                    .ok());
+  }
+  auto fetched = log->fetch(0, 1, kNoByteLimit);
+  ASSERT_TRUE(fetched.ok());
+  const broker::Payload held = fetched.value()[0].record.value;
+  const std::uint64_t rolls_before = recycled_rolls();
+  ASSERT_EQ(log->apply_retention(/*max_records=*/9, 0, 0), 1u);
+  EXPECT_FALSE(fs::exists(slot()));
+  EXPECT_FALSE(fs::exists(segment_path(0)));
+  append_after_roll(*log, 3);  // rolls into a fresh file
+  EXPECT_EQ(recycled_rolls(), rolls_before);
+  ASSERT_EQ(held.size(), kRecycleValueBytes);
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    ASSERT_EQ(held[i], 0x5a) << "byte " << i;
+  }
+}
+
+TEST_F(RecycleTest, SuffixTruncationNeverFillsTheSlot) {
+  auto log = open(recycle_config());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(log->append(make_record("k", kRecycleValueBytes),
+                            1 + static_cast<std::uint64_t>(i))
+                    .ok());
+  }
+  const std::uint64_t rolls_before = recycled_rolls();
+  // Deletes [6,9) and [9,12) and cuts [3,6) after offset 3.
+  ASSERT_TRUE(log->truncate_suffix(4).ok());
+  EXPECT_FALSE(fs::exists(slot()));
+  EXPECT_FALSE(fs::exists(segment_path(6)));
+  EXPECT_FALSE(fs::exists(segment_path(9)));
+  for (int i = 0; i < 3; ++i) {  // the third rolls
+    ASSERT_TRUE(log->append(make_record("k", kRecycleValueBytes), 50).ok());
+  }
+  EXPECT_EQ(recycled_rolls(), rolls_before);
+  EXPECT_EQ(fs::file_size(segment_path(6)), kRecycleFrameBytes);
+}
+
+TEST_F(RecycleTest, OpenDeletesLeftoverSlot) {
+  open_with_full_slot().reset();  // clean close with a full slot
+  ASSERT_TRUE(fs::exists(slot()));
+  RecoveryReport report;
+  auto log = open(recycle_config(), &report);
+  EXPECT_FALSE(fs::exists(slot()));
+  EXPECT_EQ(report.torn_bytes_truncated, 0u);
+  EXPECT_EQ(log->start_offset(), 3u);
+  EXPECT_EQ(log->end_offset(), 12u);
+  // With the slot gone, the next roll creates a fresh file.
+  const std::uint64_t rolls_before = recycled_rolls();
+  append_after_roll(*log, 1);
+  EXPECT_EQ(recycled_rolls(), rolls_before);
+}
+
+TEST_F(RecycleTest, CleanCloseCutsRecycledActiveSegment) {
+  {
+    auto log = open_with_full_slot();
+    append_after_roll(*log, 1);
+    EXPECT_EQ(fs::file_size(segment_path(12)), 3 * kRecycleFrameBytes);
+  }  // clean close
+  EXPECT_EQ(fs::file_size(segment_path(12)), kRecycleFrameBytes);
+  RecoveryReport report;
+  auto log = open(recycle_config(), &report);
+  EXPECT_EQ(report.torn_bytes_truncated, 0u);
+  EXPECT_EQ(log->end_offset(), 13u);
+}
+
+TEST_F(RecycleTest, RollSealsRecycledSegmentAtItsValidBytes) {
+  auto log = open_with_full_slot();
+  append_after_roll(*log, 1);
+  // A record too large for the rest of [12,13) rolls past it: the sealed
+  // file is cut at its one record. A stale tail left in a sealed segment
+  // would read as a mid-log tear and cost every later segment at
+  // recovery.
+  ASSERT_TRUE(log->append(make_record("m", 400), 200).ok());
+  EXPECT_EQ(fs::file_size(segment_path(12)), kRecycleFrameBytes);
+  EXPECT_EQ(log->end_offset(), 14u);
+}
+
 }  // namespace
 }  // namespace pe::storage

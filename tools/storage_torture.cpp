@@ -19,6 +19,13 @@
 // that RETURNED before the cut must survive recovery byte-for-byte —
 // under kEverySync, returning is the durability promise.
 //
+// A third phase models the crash that truncate-based power-loss
+// simulation never produces: a log at its retention limit recycles
+// segment files, so its active segment holds CRC-valid frames of an older
+// offset range behind the valid bytes, and a power cut keeps the file at
+// full length. Each round copies the directory's files byte for byte at a
+// random point, recovers the copy, and checks the same contract on it.
+//
 // Usage: storage_torture [rounds] [seed] [dir]
 #include <chrono>
 #include <cstdint>
@@ -31,6 +38,7 @@
 
 #include "common/rng.h"
 #include "storage/log_dir.h"
+#include "telemetry/metrics.h"
 
 namespace {
 
@@ -146,6 +154,128 @@ void run_group_commit_torture(int rounds, std::uint64_t seed,
   fs::remove_all(dir);
 }
 
+/// Stale-tail record: a constant key and, when `value_size` is non-zero,
+/// a constant size, so a recycled file's stale frames land on the new
+/// frames' boundaries; the bytes still derive from the offset.
+broker::Record stale_tail_record(std::uint64_t offset,
+                                 std::size_t value_size) {
+  broker::Record r;
+  r.key = "stale";
+  const std::size_t size =
+      value_size > 0 ? value_size : 16 + (offset * 37) % 2048;
+  Bytes value(size, 0);
+  for (std::size_t i = 0; i < size; ++i) {
+    value[i] = static_cast<std::uint8_t>((offset * 131 + i * 7) & 0xff);
+  }
+  r.value = std::move(value);
+  return r;
+}
+
+/// Recovers a full-length copy of `dir` taken while the log was open and
+/// checks it against the live log: everything written survives (the copy
+/// lost no bytes), nothing past it does, and the offsets are dense with
+/// intact payloads. Returns the stale bytes recovery rejected.
+std::uint64_t check_full_length_copy(const storage::LogDir& live,
+                                     const std::string& dir,
+                                     const std::string& copy,
+                                     std::size_t value_size,
+                                     std::uint64_t synced_floor,
+                                     const std::string& where) {
+  fs::remove_all(copy);
+  fs::create_directories(copy);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    fs::copy_file(entry.path(), fs::path(copy) / entry.path().filename());
+  }
+  storage::RecoveryReport report;
+  {  // the recovered log closes before the copy is removed
+    auto opened = storage::LogDir::open(copy, live.config(), &report);
+    check(opened.ok(), where + ": open copy: " + opened.status().to_string());
+    const auto& recovered = *opened.value();
+    check(report.next_offset >= synced_floor,
+          where + ": lost acked records: recovered to " +
+              std::to_string(report.next_offset) + ", acked floor " +
+              std::to_string(synced_floor));
+    check(report.next_offset == live.end_offset(),
+          where + ": recovered end " + std::to_string(report.next_offset) +
+              " != written end " + std::to_string(live.end_offset()));
+    check(recovered.start_offset() == live.start_offset(),
+          where + ": recovered start " +
+              std::to_string(recovered.start_offset()) + " != live start " +
+              std::to_string(live.start_offset()));
+    for (std::uint64_t at = recovered.start_offset();
+         at < recovered.end_offset();) {
+      auto batch = recovered.fetch(at, 256, ~0ull);
+      check(batch.ok() && !batch.value().empty(),
+            where + ": hole at offset " + std::to_string(at));
+      for (const auto& got : batch.value()) {
+        check(got.offset == at, where + ": offset gap: wanted " +
+                                    std::to_string(at) + ", got " +
+                                    std::to_string(got.offset));
+        check(got.record.value ==
+                  stale_tail_record(got.offset, value_size).value,
+              where + ": payload mismatch at " + std::to_string(got.offset));
+        ++at;
+      }
+    }
+  }
+  fs::remove_all(copy);
+  return report.torn_bytes_truncated;
+}
+
+void run_stale_tail_torture(int rounds, std::uint64_t seed,
+                                     const std::string& dir) {
+  Rng rng(seed ^ 0x7374616c65ull);  // decorrelate from the other phases
+  auto& recycled_rolls =
+      tel::MetricsRegistry::global().counter("storage.segments_recycled");
+  const std::uint64_t recycled_before = recycled_rolls.value();
+  std::uint64_t stale_bytes = 0;
+  for (int round = 0; round < rounds; ++round) {
+    fs::remove_all(dir);
+    storage::StorageConfig config;
+    config.segment_max_bytes = 8 * 1024 + rng.uniform_int(0, 16 * 1024);
+    config.flush_policy = storage::FlushPolicy::kNever;  // explicit syncs
+    auto opened = storage::LogDir::open(dir, config, nullptr);
+    check(opened.ok(), "stale open: " + opened.status().to_string());
+    auto& log = *opened.value();
+    // Half the rounds use one record size, so stale frames line up.
+    const std::size_t value_size =
+        rng.uniform_int(0, 1) == 0
+            ? static_cast<std::size_t>(rng.uniform_int(16, 2048))
+            : 0;
+    // A retention limit of a few segments: from the fourth roll on, every
+    // roll reuses the segment the previous retention pass dropped.
+    const std::uint64_t max_bytes =
+        config.segment_max_bytes * static_cast<std::uint64_t>(
+                                       rng.uniform_int(2, 4));
+    const int appends = rng.uniform_int(200, 1500);
+    const int copy_at = rng.uniform_int(1, appends);
+    std::uint64_t synced_floor = 0;
+    for (int i = 1; i <= appends; ++i) {
+      const std::uint64_t offset = log.end_offset();
+      auto off = log.append(stale_tail_record(offset, value_size),
+                            1 + offset);
+      check(off.ok(), "stale append: " + off.status().to_string());
+      log.apply_retention(0, max_bytes, 0);
+      if (rng.uniform_int(0, 15) == 0) {
+        check(log.sync().ok(), "stale sync failed");
+        synced_floor = log.end_offset();
+      }
+      if (i == copy_at) {
+        stale_bytes += check_full_length_copy(
+            log, dir, dir + "_copy", value_size, synced_floor,
+            "stale round " + std::to_string(round));
+      }
+    }
+  }
+  fs::remove_all(dir);
+  const std::uint64_t recycled = recycled_rolls.value() - recycled_before;
+  check(recycled > 0, "stale-tail torture never reused the recycle slot");
+  std::printf("TORTURE PASS: %d stale-tail rounds, %llu recycled rolls, "
+              "%llu stale bytes rejected by recovery\n",
+              rounds, static_cast<unsigned long long>(recycled),
+              static_cast<unsigned long long>(stale_bytes));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -245,5 +375,8 @@ int main(int argc, char** argv) {
   std::printf("TORTURE PASS: %d group-commit crash rounds, all acked "
               "records survived\n",
               gc_rounds);
+
+  // Phase three: full-length copies of logs that recycle segment files.
+  run_stale_tail_torture(rounds / 4 + 1, seed, dir + "_stale");
   return 0;
 }
