@@ -144,7 +144,6 @@ void run_append_sweep() {
 
   for (auto policy :
        {storage::FlushPolicy::kNever, storage::FlushPolicy::kEveryNRecords,
-        storage::FlushPolicy::kIntervalMs,
         storage::FlushPolicy::kEverySync}) {
     const auto dir = scratch_dir("sweep");
     storage::StorageConfig config;

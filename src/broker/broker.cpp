@@ -19,8 +19,7 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 //   u64 max_bytes | u64 max_age_ns | u8 partitioner | u64 hot_max_bytes
 // The trailing hot_max_bytes is absent in logs written before the
 // admission-control change; the decoder treats a short read there as 0.
-// Committed offset (key = group id):
-//   string topic | u32 partition | u64 offset
+// Committed offset (key = group id): encode_committed_offset.
 
 Bytes encode_topic_intent(bool create, const TopicConfig& config) {
   Bytes out;
@@ -52,23 +51,6 @@ bool decode_topic_intent(ByteSpan bytes, bool* create, TopicConfig* config) {
   config->partitioner = static_cast<PartitionerKind>(partitioner);
   *create = op == 1;
   return true;
-}
-
-Bytes encode_committed_offset(const TopicPartition& tp,
-                              std::uint64_t offset) {
-  Bytes out;
-  ByteWriter w(out);
-  w.put_string(tp.topic);
-  w.put_u32(tp.partition);
-  w.put_u64(offset);
-  return out;
-}
-
-bool decode_committed_offset(ByteSpan bytes, TopicPartition* tp,
-                             std::uint64_t* offset) {
-  ByteReader r(bytes);
-  return r.get_string(tp->topic).ok() && r.get_u32(tp->partition).ok() &&
-         r.get_u64(*offset).ok();
 }
 
 void merge_report(storage::RecoveryReport* into,
@@ -327,21 +309,29 @@ std::shared_ptr<Topic> Broker::find_topic(const std::string& name) const {
   return it == topics_.end() ? nullptr : it->second;
 }
 
-Result<std::uint64_t> Broker::produce(const std::string& topic,
-                                      std::uint32_t partition,
-                                      std::vector<Record> records,
-                                      const std::string& client_id) {
+Result<std::shared_ptr<PartitionLog>> Broker::find_partition(
+    const std::string& topic, std::uint32_t partition) const {
   auto t = find_topic(topic);
   if (!t) return Status::NotFound("topic '" + topic + "' not found");
-  if (partition_offline(topic, partition)) {
-    return Status::Unavailable("partition " + topic + "/" +
-                               std::to_string(partition) + " offline");
-  }
   PartitionLog* log = t->partition(partition);
   if (!log) {
     return Status::OutOfRange("partition " + std::to_string(partition) +
                               " out of range for topic '" + topic + "'");
   }
+  return std::shared_ptr<PartitionLog>(std::move(t), log);
+}
+
+Result<std::uint64_t> Broker::produce(const std::string& topic,
+                                      std::uint32_t partition,
+                                      std::vector<Record> records,
+                                      const std::string& client_id) {
+  auto found = find_partition(topic, partition);
+  if (!found.ok()) return found.status();
+  if (partition_offline(topic, partition)) {
+    return Status::Unavailable("partition " + topic + "/" +
+                               std::to_string(partition) + " offline");
+  }
+  PartitionLog& log = *found.value();
   std::uint64_t bytes = 0;
   for (const auto& r : records) bytes += r.wire_size();
   const auto count = records.size();
@@ -360,7 +350,7 @@ Result<std::uint64_t> Broker::produce(const std::string& topic,
   if (!reserved.ok()) {
     // One forced retention/hot-trim pass on the target partition may free
     // enough hot memory to admit without waiting out the throttle.
-    log->enforce_retention();
+    log.enforce_retention();
     reserved = admission_.reserve_hot(bytes);
   }
   if (!reserved.ok()) {
@@ -379,7 +369,7 @@ Result<std::uint64_t> Broker::produce(const std::string& topic,
     return reserved;
   }
 
-  auto first = log->append_batch(std::move(records));
+  auto first = log.append_batch(std::move(records));
   // The appended bytes are now carried by the hot counter itself (and any
   // rejected remainder was never appended): drop the reservation.
   admission_.release_hot(bytes);
@@ -415,21 +405,17 @@ void Broker::set_client_fetch_quota(const std::string& client,
 Result<std::uint64_t> Broker::replicate(const std::string& topic,
                                         std::uint32_t partition,
                                         std::vector<ConsumedRecord> records) {
-  auto t = find_topic(topic);
-  if (!t) return Status::NotFound("topic '" + topic + "' not found");
+  auto found = find_partition(topic, partition);
+  if (!found.ok()) return found.status();
   if (partition_offline(topic, partition)) {
     return Status::Unavailable("partition " + topic + "/" +
                                std::to_string(partition) + " offline");
   }
-  PartitionLog* log = t->partition(partition);
-  if (!log) {
-    return Status::OutOfRange("partition " + std::to_string(partition) +
-                              " out of range for topic '" + topic + "'");
-  }
+  PartitionLog& log = *found.value();
   std::uint64_t bytes = 0;
   for (const auto& cr : records) bytes += cr.record.wire_size();
   const auto count = records.size();
-  auto first = log->append_replicated(std::move(records));
+  auto first = log.append_replicated(std::move(records));
   if (!first.ok()) return first.status();  // replica disk refused: no ack
   stats_.records_in.fetch_add(count, kRelaxed);
   stats_.bytes_in.fetch_add(bytes, kRelaxed);
@@ -453,18 +439,14 @@ Result<std::vector<ConsumedRecord>> Broker::fetch(
     stats_.fetch_throttled.fetch_add(1, kRelaxed);
     return s;
   }
-  auto t = find_topic(topic);
-  if (!t) return Status::NotFound("topic '" + topic + "' not found");
+  auto found = find_partition(topic, partition);
+  if (!found.ok()) return found.status();
   if (partition_offline(topic, partition)) {
     return Status::Unavailable("partition " + topic + "/" +
                                std::to_string(partition) + " offline");
   }
-  PartitionLog* log = t->partition(partition);
-  if (!log) {
-    return Status::OutOfRange("partition " + std::to_string(partition) +
-                              " out of range for topic '" + topic + "'");
-  }
-  auto result = log->fetch(spec);
+  PartitionLog& log = *found.value();
+  auto result = log.fetch(spec);
   if (!result.ok()) return result.status();
   auto records = std::move(result).value();
   std::uint64_t bytes = 0;
@@ -486,43 +468,32 @@ Result<std::vector<ConsumedRecord>> Broker::fetch(
 
 Result<std::uint64_t> Broker::end_offset(const std::string& topic,
                                          std::uint32_t partition) const {
-  auto t = find_topic(topic);
-  if (!t) return Status::NotFound("topic '" + topic + "' not found");
-  const PartitionLog* log = t->partition(partition);
-  if (!log) return Status::OutOfRange("partition out of range");
-  return log->end_offset();
+  auto found = find_partition(topic, partition);
+  if (!found.ok()) return found.status();
+  return found.value()->end_offset();
 }
 
 Result<std::uint64_t> Broker::log_start_offset(const std::string& topic,
                                                std::uint32_t partition) const {
-  auto t = find_topic(topic);
-  if (!t) return Status::NotFound("topic '" + topic + "' not found");
-  const PartitionLog* log = t->partition(partition);
-  if (!log) return Status::OutOfRange("partition out of range");
-  return log->log_start_offset();
+  auto found = find_partition(topic, partition);
+  if (!found.ok()) return found.status();
+  return found.value()->log_start_offset();
 }
 
 Result<std::uint64_t> Broker::offset_for_timestamp(
     const std::string& topic, std::uint32_t partition,
     std::uint64_t ts_ns) const {
-  auto t = find_topic(topic);
-  if (!t) return Status::NotFound("topic '" + topic + "' not found");
-  const PartitionLog* log = t->partition(partition);
-  if (!log) return Status::OutOfRange("partition out of range");
-  return log->offset_for_timestamp(ts_ns);
+  auto found = find_partition(topic, partition);
+  if (!found.ok()) return found.status();
+  return found.value()->offset_for_timestamp(ts_ns);
 }
 
 Status Broker::truncate_partition(const std::string& topic,
                                   std::uint32_t partition,
                                   std::uint64_t offset) {
-  auto t = find_topic(topic);
-  if (!t) return Status::NotFound("topic '" + topic + "' not found");
-  PartitionLog* log = t->partition(partition);
-  if (!log) {
-    return Status::OutOfRange("partition " + std::to_string(partition) +
-                              " out of range for topic '" + topic + "'");
-  }
-  return log->truncate_suffix(offset);
+  auto found = find_partition(topic, partition);
+  if (!found.ok()) return found.status();
+  return found.value()->truncate_suffix(offset);
 }
 
 Status Broker::dead_letter(const std::string& origin_topic,

@@ -220,6 +220,11 @@ class Broker : public Endpoint {
 
  private:
   std::shared_ptr<Topic> find_topic(const std::string& name) const;
+  /// The log of one partition, aliasing its Topic so the topic stays alive
+  /// for the caller's use of it. NOT_FOUND for an unknown topic,
+  /// OUT_OF_RANGE for a partition past the topic's count.
+  Result<std::shared_ptr<PartitionLog>> find_partition(
+      const std::string& topic, std::uint32_t partition) const;
 
   /// Forces one retention/hot-trim pass over every partition. Run when a
   /// hot-window reservation fails: the broker-wide cap may be held up by

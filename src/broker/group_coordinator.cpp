@@ -6,6 +6,23 @@
 
 namespace pe::broker {
 
+Bytes encode_committed_offset(const TopicPartition& tp,
+                              std::uint64_t offset) {
+  Bytes out;
+  ByteWriter w(out);
+  w.put_string(tp.topic);
+  w.put_u32(tp.partition);
+  w.put_u64(offset);
+  return out;
+}
+
+bool decode_committed_offset(ByteSpan bytes, TopicPartition* tp,
+                             std::uint64_t* offset) {
+  ByteReader r(bytes);
+  return r.get_string(tp->topic).ok() && r.get_u32(tp->partition).ok() &&
+         r.get_u64(*offset).ok();
+}
+
 GroupCoordinator::GroupCoordinator(PartitionCountFn partition_count_fn)
     : partition_count_fn_(std::move(partition_count_fn)) {}
 

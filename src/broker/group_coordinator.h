@@ -17,6 +17,7 @@
 
 #include "common/clock.h"
 #include "common/mutex.h"
+#include "common/serialize.h"
 #include "common/status.h"
 
 namespace pe::broker {
@@ -27,6 +28,15 @@ struct TopicPartition {
 
   auto operator<=>(const TopicPartition&) const = default;
 };
+
+/// Body of one committed-offset record in an `__offsets` log (the record
+/// key is the group id): string topic | u32 partition | u64 offset. The
+/// broker's durable offsets log and the cluster's replicated `__offsets`
+/// topic both store it.
+Bytes encode_committed_offset(const TopicPartition& tp, std::uint64_t offset);
+/// False when `bytes` is not a whole committed-offset body.
+bool decode_committed_offset(ByteSpan bytes, TopicPartition* tp,
+                             std::uint64_t* offset);
 
 /// A member's current view of the group after (re)joining.
 struct GroupAssignment {

@@ -75,120 +75,75 @@ Status as_produce_error(const Status& s) {
   return Status::Unavailable("durable append failed: " + s.to_string());
 }
 
-}  // namespace
-
-Result<std::uint64_t> PartitionLog::append(Record record) {
-  std::uint64_t offset;
-  {
-    MutexLock lock(mutex_);
-    const std::uint64_t now_ns = Clock::now_ns();
-    if (log_dir_) {
-      // Write-through first: the offset is only consumed once the durable
-      // tier accepted the record. On failure next_offset_ stays exactly
-      // at the durable end — a failed disk append is never acked.
-      if (auto r = log_dir_->append(record, now_ns); !r.ok()) {
-        PE_LOG_WARN("durable append failed at offset "
-                    << next_offset_ << ": " << r.status().to_string());
-        return as_produce_error(r.status());
-      }
-    }
-    offset = next_offset_++;
-    add_hot_bytes_locked(static_cast<std::int64_t>(record.wire_size()));
-    entries_.push_back(Entry{offset, now_ns, std::move(record)});
-    publish_end_locked();
-    enforce_retention_locked();
-  }
-  data_available_.notify_all();
-  return offset;
+/// How the write body reads the (record, broker timestamp) pair of one
+/// element: a produced record takes the batch's stamp, a replicated one
+/// keeps the leader's.
+Record& record_of(Record& r) { return r; }
+Record& record_of(ConsumedRecord& cr) { return cr.record; }
+std::uint64_t stamp_of(const Record&, std::uint64_t now_ns) { return now_ns; }
+std::uint64_t stamp_of(const ConsumedRecord& cr, std::uint64_t) {
+  return cr.broker_timestamp_ns;
 }
 
-Result<std::uint64_t> PartitionLog::append_batch(std::vector<Record> records) {
+}  // namespace
+
+template <typename Elem>
+Result<std::uint64_t> PartitionLog::append_entries(
+    std::vector<Elem>& records) {
   std::uint64_t first_offset;
-  bool any_appended = false;
+  std::size_t accepted = records.size();
+  Status durable = Status::Ok();
   {
     MutexLock lock(mutex_);
     first_offset = next_offset_;
     const std::uint64_t now_ns = Clock::now_ns();
-    Status durable = Status::Ok();
-    std::size_t accepted = records.size();
     if (log_dir_) {
-      // One batched storage call: single lock acquisition, frames encoded
-      // into one write buffer per segment chunk, at most one fsync.
+      // Write-through first, in one batched storage call: an offset is
+      // only consumed once the durable tier accepted its record.
       std::vector<storage::TimestampedRecord> batch;
       batch.reserve(records.size());
-      for (const auto& r : records) batch.push_back({&r, now_ns});
-      auto appended = log_dir_->append_batch(batch);
-      if (!appended.ok()) {
+      for (Elem& e : records) {
+        batch.push_back({&record_of(e), stamp_of(e, now_ns)});
+      }
+      if (auto appended = log_dir_->append_batch(batch); !appended.ok()) {
         durable = appended.status();
         // The durably-appended prefix (possibly empty) stays: mirror it
         // into the hot window so the deque remains dense and tier-
-        // consistent, but fail the batch — none of it is acked.
-        const std::uint64_t durable_end = log_dir_->end_offset();
-        accepted = static_cast<std::size_t>(durable_end - next_offset_);
-        PE_LOG_WARN("durable batch append failed after "
-                    << accepted << "/" << records.size() << " records: "
-                    << durable.to_string());
+        // consistent, but fail the call — none of it is acked.
+        accepted = static_cast<std::size_t>(log_dir_->end_offset() -
+                                            next_offset_);
+        PE_LOG_WARN("durable append at offset "
+                    << next_offset_ << " failed after " << accepted << "/"
+                    << records.size() << " records: " << durable.to_string());
       }
     }
     for (std::size_t i = 0; i < accepted; ++i) {
-      add_hot_bytes_locked(static_cast<std::int64_t>(records[i].wire_size()));
-      entries_.push_back(Entry{next_offset_++, now_ns,
-                               std::move(records[i])});
+      Record& record = record_of(records[i]);
+      add_hot_bytes_locked(static_cast<std::int64_t>(record.wire_size()));
+      entries_.push_back(Entry{next_offset_++, stamp_of(records[i], now_ns),
+                               std::move(record)});
     }
     publish_end_locked();
-    any_appended = accepted > 0;
     enforce_retention_locked();
-    if (!durable.ok()) {
-      if (any_appended) data_available_.notify_all();
-      return as_produce_error(durable);
-    }
   }
-  if (any_appended) data_available_.notify_all();
+  if (accepted > 0) data_available_.notify_all();
+  if (!durable.ok()) return as_produce_error(durable);
   return first_offset;
+}
+
+Result<std::uint64_t> PartitionLog::append(Record record) {
+  std::vector<Record> one;
+  one.push_back(std::move(record));
+  return append_batch(std::move(one));
+}
+
+Result<std::uint64_t> PartitionLog::append_batch(std::vector<Record> records) {
+  return append_entries(records);
 }
 
 Result<std::uint64_t> PartitionLog::append_replicated(
     std::vector<ConsumedRecord> records) {
-  std::uint64_t first_offset;
-  bool any_appended = false;
-  {
-    MutexLock lock(mutex_);
-    first_offset = next_offset_;
-    Status durable = Status::Ok();
-    std::size_t accepted = records.size();
-    if (log_dir_) {
-      std::vector<storage::TimestampedRecord> batch;
-      batch.reserve(records.size());
-      for (const auto& cr : records) {
-        batch.push_back({&cr.record, cr.broker_timestamp_ns});
-      }
-      auto appended = log_dir_->append_batch(batch);
-      if (!appended.ok()) {
-        durable = appended.status();
-        const std::uint64_t durable_end = log_dir_->end_offset();
-        accepted = static_cast<std::size_t>(durable_end - next_offset_);
-        PE_LOG_WARN("durable replicated append failed after "
-                    << accepted << "/" << records.size() << " records: "
-                    << durable.to_string());
-      }
-    }
-    for (std::size_t i = 0; i < accepted; ++i) {
-      add_hot_bytes_locked(
-          static_cast<std::int64_t>(records[i].record.wire_size()));
-      entries_.push_back(Entry{next_offset_++,
-                               records[i].broker_timestamp_ns,
-                               std::move(records[i].record)});
-    }
-    publish_end_locked();
-    any_appended = accepted > 0;
-    enforce_retention_locked();
-    if (!durable.ok()) {
-      if (any_appended) data_available_.notify_all();
-      return as_produce_error(durable);
-    }
-  }
-  if (any_appended) data_available_.notify_all();
-  return first_offset;
+  return append_entries(records);
 }
 
 Status PartitionLog::truncate_suffix(std::uint64_t offset) {

@@ -93,10 +93,10 @@ class PartitionLog {
   Status truncate_suffix(std::uint64_t offset);
 
   /// Appends a record, stamping the broker timestamp; returns its offset.
-  /// A failed durable append FAILS the call (transient UNAVAILABLE) —
-  /// the record is not acked, not added to the hot window, and
-  /// next_offset_ does not advance past the durable end. The
-  /// "storage.append_errors" counter tracks these.
+  /// A one-record append_batch(): a failed durable append FAILS the call
+  /// (transient UNAVAILABLE) — the record is not acked, not added to the
+  /// hot window, and next_offset_ does not advance past the durable end.
+  /// The "storage.append_errors" counter tracks these.
   Result<std::uint64_t> append(Record record);
 
   /// Appends a batch in one durable-tier call (one lock acquisition, one
@@ -165,6 +165,13 @@ class PartitionLog {
     Record record;
   };
 
+  /// The one write body of append, append_batch and append_replicated:
+  /// the durable write, the hot-window mirror of its durable prefix, the
+  /// end publish, retention and the wake-up. Elem is Record (stamped with
+  /// one now for the whole batch) or ConsumedRecord (keeps its stamp).
+  /// Moves the accepted records out of `records`.
+  template <typename Elem>
+  Result<std::uint64_t> append_entries(std::vector<Elem>& records);
   void enforce_retention_locked() PE_REQUIRES(mutex_);
   /// Publishes next_offset_ to end_offset(); called wherever it changes.
   void publish_end_locked() PE_REQUIRES(mutex_) {

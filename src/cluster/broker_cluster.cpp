@@ -504,7 +504,7 @@ Status BrokerCluster::commit_offset(const std::string& group,
     MutexLock append_lock(ps.append_mutex);
     broker::Record rec;
     rec.key = group;
-    rec.value = broker::Payload(encode_offset_commit(tp, offset));
+    rec.value = broker::Payload(broker::encode_committed_offset(tp, offset));
     auto appended = replicated_append_locked(
         kOffsetsTopic, 0, ps, meta, {std::move(rec)}, AckPolicy::kQuorum,
         /*client_id=*/{}, wait);
@@ -814,10 +814,11 @@ void BrokerCluster::replay_offsets_locked(BrokerId id) {
     auto batch = b.fetch(kOffsetsTopic, 0, spec);
     if (!batch.ok() || batch.value().empty()) break;
     for (const auto& cr : batch.value()) {
-      auto commit = decode_offset_commit(cr.record.value.span());
-      if (commit.ok()) {
-        b.coordinator().restore_offset(cr.record.key, commit.value().tp,
-                                       commit.value().offset);
+      broker::TopicPartition tp;
+      std::uint64_t offset = 0;
+      if (broker::decode_committed_offset(cr.record.value.span(), &tp,
+                                          &offset)) {
+        b.coordinator().restore_offset(cr.record.key, tp, offset);
         ++replayed;
       }
       off = cr.offset + 1;

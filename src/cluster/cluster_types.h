@@ -3,8 +3,8 @@
 // A BrokerCluster runs N broker::Broker instances; every topic-partition
 // has one leader and RF-1 followers chosen by the deterministic shard map
 // (shard_map.h). These types describe the cluster's metadata plane: who
-// replicates what, how produced records are acknowledged, and the wire
-// format of the replicated `__offsets` topic.
+// replicates what and how produced records are acknowledged. A record of
+// the replicated `__offsets` topic is broker::encode_committed_offset.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/serialize.h"
 #include "common/status.h"
 #include "broker/admission.h"
 #include "broker/group_coordinator.h"
@@ -111,32 +110,5 @@ struct ClusterOptions {
   /// leader — replication is admission-exempt.
   broker::AdmissionConfig admission;
 };
-
-/// Wire format of one `__offsets` record body (the record key is the group
-/// id). Kept explicit so a replica replay and the original apply decode
-/// identically.
-inline Bytes encode_offset_commit(const broker::TopicPartition& tp,
-                                  std::uint64_t offset) {
-  Bytes out;
-  ByteWriter w(out);
-  w.put_string(tp.topic);
-  w.put_u32(tp.partition);
-  w.put_u64(offset);
-  return out;
-}
-
-struct OffsetCommit {
-  broker::TopicPartition tp;
-  std::uint64_t offset = 0;
-};
-
-inline Result<OffsetCommit> decode_offset_commit(ByteSpan body) {
-  ByteReader r(body);
-  OffsetCommit c;
-  if (auto s = r.get_string(c.tp.topic); !s.ok()) return s;
-  if (auto s = r.get_u32(c.tp.partition); !s.ok()) return s;
-  if (auto s = r.get_u64(c.offset); !s.ok()) return s;
-  return c;
-}
 
 }  // namespace pe::cluster

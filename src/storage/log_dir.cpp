@@ -64,43 +64,14 @@ Result<std::unique_ptr<LogDir>> LogDir::open(std::string dir,
     if (auto s = log->recover_locked(&local); !s.ok()) return s;
   }
   if (report != nullptr) *report = local;
-  if (config.flush_policy == FlushPolicy::kIntervalMs) {
-    log->flusher_ = std::thread([raw = log.get()] {
-      UniqueLock lock(raw->mutex_);
-      while (!raw->stop_flusher_) {
-        raw->flusher_cv_.wait_for(lock, raw->config_.flush_interval,
-                                  [raw]() PE_NO_THREAD_SAFETY_ANALYSIS {
-                                    return raw->stop_flusher_;
-                                  });
-        if (raw->stop_flusher_) break;
-        if (raw->writer_ && raw->writer_->dirty_records() > 0) {
-          // Group sync: the fsync runs with the mutex released, so the
-          // interval flusher no longer stalls concurrent appenders.
-          if (auto s = raw->group_sync_locked(lock); !s.ok()) {
-            PE_LOG_WARN("storage flusher: " << s.to_string());
-          }
-        }
-      }
-    });
-  }
   return log;
 }
 
 LogDir::~LogDir() {
-  stop_flusher();
   UniqueLock lock(mutex_);
   wait_sync_idle_locked(lock);
   if (!closed_ && writer_) writer_->close();  // clean shutdown syncs
   writer_.reset();
-}
-
-void LogDir::stop_flusher() {
-  {
-    MutexLock lock(mutex_);
-    stop_flusher_ = true;
-  }
-  flusher_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
 }
 
 Status LogDir::recover_locked(RecoveryReport* report) {
@@ -149,8 +120,7 @@ Status LogDir::recover_locked(RecoveryReport* report) {
       report->segments_deleted += 1;
       continue;
     }
-    auto segment = std::make_unique<Segment>(path, base,
-                                             config_.index_interval_bytes);
+    auto segment = std::make_unique<Segment>(path, base);
     auto scanned = segment->scan();
     if (!scanned.ok()) return scanned.status();
     report->segments_scanned += 1;
@@ -190,8 +160,7 @@ Status LogDir::recover_locked(RecoveryReport* report) {
 
   if (segments_.empty()) {
     auto segment = std::make_unique<Segment>(
-        (fs::path(dir_) / segment_file_name(0)).string(), 0,
-        config_.index_interval_bytes);
+        (fs::path(dir_) / segment_file_name(0)).string(), 0);
     segments_.push_back(std::move(segment));
     segments_created().add();
   }
@@ -301,7 +270,6 @@ Status LogDir::policy_sync_locked(UniqueLock& lock) {
         return group_sync_locked(lock);
       }
       return Status::Ok();
-    case FlushPolicy::kIntervalMs:
     case FlushPolicy::kNever:
       return Status::Ok();
   }
@@ -324,8 +292,7 @@ Status LogDir::roll_locked(UniqueLock& lock) {
   if (auto s = writer_->seal(); !s.ok()) return s;
   const std::uint64_t base = end_offset_locked();
   const std::string path = (fs::path(dir_) / segment_file_name(base)).string();
-  auto segment =
-      std::make_unique<Segment>(path, base, config_.index_interval_bytes);
+  auto segment = std::make_unique<Segment>(path, base);
   bool recycled = false;
   if (slot_full_) {
     slot_full_ = false;
@@ -371,28 +338,6 @@ Status LogDir::sync_dir() const {
                             "': " + std::strerror(err));
   }
   return Status::Ok();
-}
-
-Result<std::uint64_t> LogDir::append(const broker::Record& record,
-                                     std::uint64_t broker_timestamp_ns) {
-  UniqueLock lock(mutex_);
-  if (closed_) return Status::FailedPrecondition("log dir closed (crashed)");
-  if (inject_append_failures_ > 0) {
-    --inject_append_failures_;
-    return Status::Unavailable("injected append failure");
-  }
-  if (segments_.back()->record_count() > 0 &&
-      segments_.back()->bytes() + frame_size_of(record) >
-          config_.segment_max_bytes) {
-    if (auto s = roll_locked(lock); !s.ok()) return s;
-  }
-  const std::uint64_t offset = end_offset_locked();
-  if (auto s = writer_->append(record, offset, broker_timestamp_ns);
-      !s.ok()) {
-    return s;
-  }
-  if (auto s = policy_sync_locked(lock); !s.ok()) return s;
-  return offset;
 }
 
 Result<std::uint64_t> LogDir::append_batch(
@@ -690,8 +635,7 @@ Status LogDir::truncate_suffix(std::uint64_t offset) {
     // Whole log discarded: recreate an empty active segment based at the
     // cut so the offset sequence resumes there (offsets are never reused).
     segments_.push_back(std::make_unique<Segment>(
-        (fs::path(dir_) / segment_file_name(offset)).string(), offset,
-        config_.index_interval_bytes));
+        (fs::path(dir_) / segment_file_name(offset)).string(), offset));
   } else if (segments_.back()->end_offset() > offset) {
     // Boundary segment: cut the file at the first discarded frame and
     // rebuild the segment's metadata/index from the surviving prefix.
@@ -703,9 +647,8 @@ Status LogDir::truncate_suffix(std::uint64_t offset) {
       return fail_closed(Status::Internal("truncate '" + tail->path() +
                                           "': " + ec.message()));
     }
-    auto rebuilt = std::make_unique<Segment>(tail->path(),
-                                             tail->base_offset(),
-                                             config_.index_interval_bytes);
+    auto rebuilt =
+        std::make_unique<Segment>(tail->path(), tail->base_offset());
     auto scanned = rebuilt->scan();
     if (!scanned.ok()) return fail_closed(scanned.status());
     segments_.back() = std::move(rebuilt);
@@ -766,7 +709,6 @@ std::size_t LogDir::apply_retention(std::uint64_t max_records,
 }
 
 void LogDir::simulate_power_loss(double keep_fraction) {
-  stop_flusher();
   UniqueLock lock(mutex_);
   if (closed_) return;
   // Close FIRST, then drain: new appenders and parked group-sync waiters

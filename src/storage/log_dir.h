@@ -22,6 +22,11 @@
 // the mutex around the fsync, and every appender whose bytes that fsync
 // covered returns on it (Kafka-style group commit). Appenders keep
 // writing while a sync is in flight and queue up behind the next one.
+// A LogDir owns no thread: every fsync runs on the thread of an appender
+// (per the flush policy), of a sync() caller, or of a roll or close.
+//
+// Every record reaches the file through append_batch(); append() is a
+// one-record batch.
 //
 // Thread-safe. The internal mutex ranks below the broker's partition-log
 // and coordinator locks so it can be taken while those are held.
@@ -30,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "broker/record.h"
@@ -76,7 +80,9 @@ class LogDir {
   /// without consuming an offset: on error the log ends exactly where it
   /// ended before the call.
   Result<std::uint64_t> append(const broker::Record& record,
-                               std::uint64_t broker_timestamp_ns);
+                               std::uint64_t broker_timestamp_ns) {
+    return append_batch({{&record, broker_timestamp_ns}});
+  }
 
   /// Appends a whole batch under one lock acquisition: frames are encoded
   /// into one reused write buffer per segment chunk, written with
@@ -182,7 +188,6 @@ class LogDir {
   /// Index of the segment containing `offset` (segments are sorted).
   std::size_t segment_index_locked(std::uint64_t offset) const
       PE_REQUIRES(mutex_);
-  void stop_flusher();
 
   const std::string dir_;
   const std::string slot_path_;
@@ -190,7 +195,6 @@ class LogDir {
   // Level 4 in the broker lock domain: legally acquired under the broker
   // registry (1), a partition log (2), or the group coordinator (3).
   mutable Mutex mutex_;
-  mutable CondVar flusher_cv_;
   /// Signaled when an in-flight group sync finishes (leader done).
   mutable CondVar sync_cv_;
   std::vector<std::unique_ptr<Segment>> segments_ PE_GUARDED_BY(mutex_);
@@ -198,14 +202,12 @@ class LogDir {
   bool closed_ PE_GUARDED_BY(mutex_) = false;
   /// True while the recycle slot holds a retained-away segment's file.
   bool slot_full_ PE_GUARDED_BY(mutex_) = false;
-  bool stop_flusher_ PE_GUARDED_BY(mutex_) = false;
   /// True while a sync leader is fsyncing with the mutex released.
   bool sync_in_flight_ PE_GUARDED_BY(mutex_) = false;
   std::uint64_t inject_append_failures_ PE_GUARDED_BY(mutex_) = 0;
-  /// append_batch's frame buffer, reused across calls (as
-  /// SegmentWriter::frame_buf_ is) so its capacity never leaves the log.
+  /// append_batch's frame buffer, reused across calls so its capacity
+  /// never leaves the log.
   Bytes encode_buf_ PE_GUARDED_BY(mutex_);
-  std::thread flusher_;
 };
 
 }  // namespace pe::storage

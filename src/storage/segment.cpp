@@ -127,19 +127,16 @@ MmapRegion::~MmapRegion() {
   }
 }
 
-Segment::Segment(std::string path, std::uint64_t base_offset,
-                 std::uint64_t index_interval_bytes)
+Segment::Segment(std::string path, std::uint64_t base_offset)
     : path_(std::move(path)),
       base_offset_(base_offset),
-      index_interval_bytes_(index_interval_bytes == 0 ? 4096
-                                                      : index_interval_bytes),
       next_offset_(base_offset) {}
 
 void Segment::maybe_index(std::uint64_t offset,
                           std::uint64_t broker_timestamp_ns,
                           std::uint64_t file_pos) {
   if (!index_has_entry_ ||
-      file_pos - last_index_pos_ >= index_interval_bytes_) {
+      file_pos - last_index_pos_ >= kIndexIntervalBytes) {
     index_.push_back(IndexEntry{offset, file_pos, broker_timestamp_ns});
     last_index_pos_ = file_pos;
     index_has_entry_ = true;

@@ -27,6 +27,8 @@ inline constexpr std::uint32_t kFrameBodyFixedBytes = 32;  // 3*u64 + 2*u32
 /// Sanity bound used by the recovery scanner: a length field above this is
 /// treated as a torn/corrupt frame, not an allocation request.
 inline constexpr std::uint32_t kMaxFrameBodyBytes = 256u << 20;
+/// A sparse index entry is kept roughly every this many file bytes.
+inline constexpr std::uint64_t kIndexIntervalBytes = 4096;
 
 /// A parsed frame pointing into a mapped or in-memory buffer.
 struct FrameView {
@@ -97,8 +99,7 @@ class Segment {
     std::uint64_t torn_bytes = 0;
   };
 
-  Segment(std::string path, std::uint64_t base_offset,
-          std::uint64_t index_interval_bytes);
+  Segment(std::string path, std::uint64_t base_offset);
 
   /// Walks every frame in the file, verifying lengths, CRCs, and offset
   /// density from base_offset, and rebuilds the sparse index. Metadata
@@ -155,7 +156,6 @@ class Segment {
 
   const std::string path_;
   const std::uint64_t base_offset_;
-  const std::uint64_t index_interval_bytes_;
   std::uint64_t next_offset_;
   std::uint64_t bytes_ = 0;
   std::uint64_t first_timestamp_ns_ = 0;

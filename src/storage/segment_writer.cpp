@@ -88,23 +88,6 @@ void SegmentWriter::restore_tail() {
   fd_ = -1;
 }
 
-Status SegmentWriter::append(const broker::Record& record,
-                             std::uint64_t offset,
-                             std::uint64_t broker_timestamp_ns) {
-  if (fd_ < 0) return Status::FailedPrecondition("segment writer closed");
-  frame_buf_.clear();
-  encode_frame(frame_buf_, offset, broker_timestamp_ns, record);
-  const std::uint64_t pos = segment_->bytes();
-  if (auto s = write_all(frame_buf_.data(), frame_buf_.size()); !s.ok()) {
-    restore_tail();
-    return s;
-  }
-  segment_->note_append(offset, broker_timestamp_ns, pos,
-                        frame_buf_.size());
-  appended_records_ += 1;
-  return Status::Ok();
-}
-
 Status SegmentWriter::append_encoded(const Bytes& buf,
                                      const std::vector<FrameMeta>& frames) {
   if (fd_ < 0) return Status::FailedPrecondition("segment writer closed");

@@ -1,9 +1,10 @@
-// Append side of the active segment: frames records onto the file with
-// immediate write() (so readers can always map appended data) and applies
-// the configured fsync policy. One SegmentWriter exists per LogDir at a
-// time; LogDir serializes all calls under its own mutex — except
-// sync_file_only(), which LogDir's group-commit leader calls with the
-// mutex released (the begin_sync/sync_file_only/note_synced split below).
+// Append side of the active segment: writes frames LogDir encoded onto the
+// file with immediate write() (so readers can always map appended data)
+// and applies the configured fsync policy. One SegmentWriter exists per
+// LogDir at a time; LogDir serializes all calls under its own mutex —
+// except sync_file_only(), which LogDir's group-commit leader calls with
+// the mutex released (the begin_sync/sync_file_only/note_synced split
+// below).
 #pragma once
 
 #include <cstdint>
@@ -11,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "broker/record.h"
 #include "common/status.h"
 #include "storage/segment.h"
 
@@ -58,18 +58,13 @@ class SegmentWriter {
   SegmentWriter(const SegmentWriter&) = delete;
   SegmentWriter& operator=(const SegmentWriter&) = delete;
 
-  /// Frames and writes one record at `offset`. The bytes reach the OS
-  /// before this returns; they reach stable storage per the LogDir flush
-  /// policy. On a failed or short write the file is restored to the last
-  /// valid frame boundary, so the segment never carries a partial frame
-  /// ahead of its metadata.
-  Status append(const broker::Record& record, std::uint64_t offset,
-                std::uint64_t broker_timestamp_ns);
-
-  /// Batched append: `buf` holds `frames.size()` pre-encoded frames laid
+  /// The one write: `buf` holds `frames.size()` pre-encoded frames laid
   /// out per `frames`. One write() call, then the per-frame bookkeeping.
-  /// Same tail-restore guarantee as append() on failure: either every
-  /// frame in the buffer is on file, or none are.
+  /// The bytes reach the OS before this returns; they reach stable storage
+  /// per the LogDir flush policy. On a failed or short write the file is
+  /// restored to the last valid frame boundary, so either every frame in
+  /// the buffer is on file or none are, and the segment never carries a
+  /// partial frame ahead of its metadata.
   Status append_encoded(const Bytes& buf,
                         const std::vector<FrameMeta>& frames);
 
@@ -135,7 +130,6 @@ class SegmentWriter {
   /// publish exactly what it covered via SyncMark.
   std::uint64_t appended_records_ = 0;
   std::uint64_t synced_records_ = 0;
-  Bytes frame_buf_;
 };
 
 }  // namespace pe::storage

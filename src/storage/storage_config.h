@@ -1,7 +1,6 @@
 // Configuration and report types for the durable commit-log engine.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -10,12 +9,13 @@
 
 namespace pe::storage {
 
-/// When appended records reach stable storage (fsync). What each policy
-/// guarantees after a power-loss-style crash is specified in DESIGN.md §9.
+/// When appended records reach stable storage (fsync). Nothing syncs in
+/// the background: every fsync runs on the thread of an append, a sync()
+/// or a close. What each policy guarantees after a power-loss-style crash
+/// is specified in DESIGN.md §9.
 enum class FlushPolicy {
   kNever,          // never fsync explicitly; the OS decides
   kEveryNRecords,  // fsync after every flush_every_n appended records
-  kIntervalMs,     // background flusher fsyncs every flush_interval
   kEverySync,      // fsync before every append returns (Kafka acks=all)
 };
 
@@ -23,7 +23,6 @@ constexpr const char* to_string(FlushPolicy p) {
   switch (p) {
     case FlushPolicy::kNever: return "never";
     case FlushPolicy::kEveryNRecords: return "every-n-records";
-    case FlushPolicy::kIntervalMs: return "interval-ms";
     case FlushPolicy::kEverySync: return "every-sync";
   }
   return "?";
@@ -35,10 +34,6 @@ struct StorageConfig {
   FlushPolicy flush_policy = FlushPolicy::kEveryNRecords;
   /// For kEveryNRecords.
   std::uint64_t flush_every_n = 256;
-  /// For kIntervalMs (wall time, not emulated: fsync cost is real).
-  Duration flush_interval = std::chrono::milliseconds(10);
-  /// A sparse index entry is kept roughly every this many file bytes.
-  std::uint64_t index_interval_bytes = 4096;
 };
 
 /// What LogDir::open found (and fixed) while scanning a directory.

@@ -265,35 +265,108 @@ TEST_F(DurablePartitionLogTest, FailedDurableAppendIsNeverAcked) {
   EXPECT_EQ(fetched.value()[1].record.key, "retried");
 }
 
-TEST_F(DurablePartitionLogTest, FailedBatchAppendKeepsTiersAligned) {
-  PartitionLog log({}, dir_);
-  std::vector<Record> warmup = {make_record("w0"), make_record("w1")};
-  ASSERT_TRUE(log.append_batch(std::move(warmup)).ok());
+/// The three entry points into PartitionLog's one write body.
+enum class AppendEntry { kAppend, kAppendBatch, kAppendReplicated };
 
-  log.log_dir()->inject_append_failures(1);
-  std::vector<Record> doomed = {make_record("d0"), make_record("d1"),
-                                make_record("d2")};
-  auto failed = log.append_batch(std::move(doomed));
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(failed.status().is_transient());
-  // The whole batch was rejected before any frame hit the buffer, so no
-  // partial prefix exists and both tiers agree.
-  EXPECT_EQ(log.end_offset(), log.log_dir()->end_offset());
-
-  std::vector<Record> retry = {make_record("r0"), make_record("r1")};
-  auto retried = log.append_batch(std::move(retry));
-  ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(log.end_offset(), log.log_dir()->end_offset());
-  // Dense, gap-free consumer view across warmup + retry.
-  FetchSpec spec;
-  spec.max_records = 100;
-  auto fetched = log.fetch(spec);
-  ASSERT_TRUE(fetched.ok());
-  ASSERT_EQ(fetched.value().size(), log.end_offset());
-  for (std::size_t i = 0; i < fetched.value().size(); ++i) {
-    EXPECT_EQ(fetched.value()[i].offset, i);
+// Names each case by its entry point; the default printer dumps the
+// enum's raw bytes.
+void PrintTo(AppendEntry e, std::ostream* os) {
+  switch (e) {
+    case AppendEntry::kAppend: *os << "append"; return;
+    case AppendEntry::kAppendBatch: *os << "append_batch"; return;
+    case AppendEntry::kAppendReplicated: *os << "append_replicated"; return;
   }
 }
+
+class DurableAppendFailureTest
+    : public DurablePartitionLogTest,
+      public ::testing::WithParamInterface<AppendEntry> {
+ protected:
+  /// Appends one record per key through the entry point under test and
+  /// returns the first offset. append() takes one call per record and
+  /// stops at the first failure. A replicated record i carries the leader
+  /// timestamp `leader_ts + i`.
+  Result<std::uint64_t> append_via(PartitionLog& log,
+                                   const std::vector<std::string>& keys,
+                                   std::uint64_t leader_ts) {
+    switch (GetParam()) {
+      case AppendEntry::kAppend: {
+        std::uint64_t first = log.end_offset();
+        for (const std::string& key : keys) {
+          auto r = log.append(make_record(key));
+          if (!r.ok()) return r.status();
+        }
+        return first;
+      }
+      case AppendEntry::kAppendBatch: {
+        std::vector<Record> records;
+        for (const std::string& key : keys) {
+          records.push_back(make_record(key));
+        }
+        return log.append_batch(std::move(records));
+      }
+      case AppendEntry::kAppendReplicated: {
+        std::vector<ConsumedRecord> records;
+        for (const std::string& key : keys) {
+          ConsumedRecord cr;
+          cr.broker_timestamp_ns = leader_ts + records.size();
+          cr.record = make_record(key);
+          records.push_back(std::move(cr));
+        }
+        return log.append_replicated(std::move(records));
+      }
+    }
+    return Status::Internal("unknown entry point");
+  }
+};
+
+// DESIGN §9: a failed durable write is never acked and never enters the
+// hot window, whichever entry point it came through.
+TEST_P(DurableAppendFailureTest, FailedAppendKeepsTiersAligned) {
+  PartitionLog log({}, dir_);
+  ASSERT_TRUE(append_via(log, {"w0", "w1"}, 1000).ok());
+
+  log.log_dir()->inject_append_failures(1);
+  auto failed = append_via(log, {"d0", "d1", "d2"}, 2000);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().is_transient());
+  // The whole call was rejected before any frame hit the file, so no
+  // partial prefix exists and both tiers agree.
+  EXPECT_EQ(log.end_offset(), 2u);
+  EXPECT_EQ(log.end_offset(), log.log_dir()->end_offset());
+
+  auto retried = append_via(log, {"r0", "r1"}, 3000);
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(retried.value(), 2u);
+  EXPECT_EQ(log.end_offset(), log.log_dir()->end_offset());
+  // Dense, gap-free consumer view across warmup + retry, the same in the
+  // hot window and on disk.
+  FetchSpec spec;
+  spec.max_records = 100;
+  auto hot = log.fetch(spec);
+  ASSERT_TRUE(hot.ok());
+  auto cold = log.log_dir()->fetch(0, 100, spec.max_bytes);
+  ASSERT_TRUE(cold.ok());
+  const std::vector<std::string> keys = {"w0", "w1", "r0", "r1"};
+  ASSERT_EQ(log.end_offset(), keys.size());
+  for (const auto* fetched : {&hot.value(), &cold.value()}) {
+    ASSERT_EQ(fetched->size(), log.end_offset());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ((*fetched)[i].offset, i);
+      EXPECT_EQ((*fetched)[i].record.key, keys[i]);
+    }
+    if (GetParam() == AppendEntry::kAppendReplicated) {
+      // The retried records keep the leader timestamps they were given.
+      EXPECT_EQ((*fetched)[2].broker_timestamp_ns, 3000u);
+      EXPECT_EQ((*fetched)[3].broker_timestamp_ns, 3001u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryPoints, DurableAppendFailureTest,
+    ::testing::Values(AppendEntry::kAppend, AppendEntry::kAppendBatch,
+                      AppendEntry::kAppendReplicated));
 
 // Durable retention drops whole segments only: the hot window may shrink
 // to max_records, but the cold tier keeps everything in the active

@@ -307,21 +307,6 @@ TEST_F(LogDirTest, OffsetForTimestampAcrossSegments) {
   EXPECT_EQ(log->offset_for_timestamp(5000), 20u);
 }
 
-TEST_F(LogDirTest, IntervalFlusherSyncsInBackground) {
-  StorageConfig config;
-  config.flush_policy = FlushPolicy::kIntervalMs;
-  config.flush_interval = std::chrono::milliseconds(5);
-  auto log = open(config);
-  ASSERT_TRUE(log->append(make_record("k", 16), 1).ok());
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (log->synced_offset() < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(log->synced_offset(), 1u);
-}
-
 // --- group commit ---
 
 TEST_F(LogDirTest, GroupCommitEverySyncAppendersReturnDurable) {

@@ -173,7 +173,7 @@ TEST(SegmentFileName, RoundTrip) {
 
 TEST_F(SegmentTest, ScanRecoversAllFrames) {
   const Bytes raw = write_frames(10, 5, 32);
-  Segment segment(seg_path(), 10, 4096);
+  Segment segment(seg_path(), 10);
   auto scanned = segment.scan();
   ASSERT_TRUE(scanned.ok()) << scanned.status().to_string();
   EXPECT_EQ(scanned.value().valid_bytes, raw.size());
@@ -193,7 +193,7 @@ TEST_F(SegmentTest, ScanTruncatesTornTail) {
     const Bytes garbage(25, 0xee);
     out.write(reinterpret_cast<const char*>(garbage.data()), 25);
   }
-  Segment segment(seg_path(), 0, 4096);
+  Segment segment(seg_path(), 0);
   auto scanned = segment.scan();
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(scanned.value().valid_bytes, raw.size());
@@ -202,11 +202,17 @@ TEST_F(SegmentTest, ScanTruncatesTornTail) {
 }
 
 TEST_F(SegmentTest, PositionOfWalksFromSparseIndex) {
-  // Small index interval => several index entries; large => one.
-  write_frames(100, 50, 64);
-  for (std::uint64_t interval : {64u, 1u << 20}) {
-    Segment segment(seg_path(), 100, interval);
+  // Frames of ~1 KiB => several index entries; 50 small frames fit in
+  // one index interval => one entry.
+  for (std::size_t value_size : {1024u, 16u}) {
+    write_frames(100, 50, value_size);
+    Segment segment(seg_path(), 100);
     ASSERT_TRUE(segment.scan().ok());
+    if (value_size == 1024u) {
+      EXPECT_GT(segment.index().size(), 1u);
+    } else {
+      EXPECT_EQ(segment.index().size(), 1u);
+    }
     auto mapped = segment.mapping();
     ASSERT_TRUE(mapped.ok());
     for (std::uint64_t off = 100; off < 150; ++off) {
@@ -224,9 +230,12 @@ TEST_F(SegmentTest, PositionOfWalksFromSparseIndex) {
 }
 
 TEST_F(SegmentTest, OffsetForTimestamp) {
-  write_frames(0, 20, 32);  // timestamps 1000, 1010, ..., 1190
-  Segment segment(seg_path(), 0, 64);
+  // Timestamps 1000, 1010, ..., 1190; ~1 KiB frames => several index
+  // entries to search.
+  write_frames(0, 20, 1024);
+  Segment segment(seg_path(), 0);
   ASSERT_TRUE(segment.scan().ok());
+  ASSERT_GT(segment.index().size(), 1u);
   EXPECT_EQ(segment.offset_for_timestamp(0).value(), 0u);
   EXPECT_EQ(segment.offset_for_timestamp(1000).value(), 0u);
   EXPECT_EQ(segment.offset_for_timestamp(1001).value(), 1u);
@@ -238,7 +247,7 @@ TEST_F(SegmentTest, OffsetForTimestamp) {
 
 TEST_F(SegmentTest, MappingSurvivesUnlink) {
   write_frames(0, 3, 16);
-  Segment segment(seg_path(), 0, 4096);
+  Segment segment(seg_path(), 0);
   ASSERT_TRUE(segment.scan().ok());
   auto mapped = segment.mapping();
   ASSERT_TRUE(mapped.ok());
