@@ -619,20 +619,19 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
       fctx.set_invocation(invocation++);
       const std::uint64_t start_ns = Clock::now_ns();
       if (stage == 0) collector_->on_process_start(message_id, start_ns);
-      // Transient processing failures are retried in place (the block is
-      // copied per attempt because process() consumes it); non-transient
-      // failures and exhausted retries route the original record to the
-      // dead-letter topic.
-      auto attempt_process = [&] {
-        data::DataBlock copy = block;
-        return process(fctx, std::move(copy));
-      };
-      auto result = attempt_process();
+      // Transient processing failures are retried in place. process()
+      // consumes its block, so the first attempt takes the decoded one and
+      // a retry decodes the record again (its payload is still held);
+      // non-transient failures and exhausted retries route the original
+      // record to the dead-letter topic.
+      auto result = process(fctx, std::move(block));
       for (std::uint32_t attempt = 0;
            !result.ok() && result.status().is_transient() &&
            attempt < config_.processing_retries && !tctx.stop_requested();
            ++attempt) {
-        result = attempt_process();
+        auto again = data::Codec::decode(record.record.value);
+        result = again.ok() ? process(fctx, std::move(again).value())
+                            : Result<ProcessResult>(again.status());
       }
       const std::uint64_t end_ns = Clock::now_ns();
       if (terminal) collector_->on_process_end(message_id, end_ns);
@@ -783,8 +782,7 @@ void EdgeToCloudPipeline::stop() {
 PipelineRunReport EdgeToCloudPipeline::report(const std::string& label) const {
   PipelineRunReport out;
   if (collector_) {
-    out.run = tel::build_report(collector_->completed(),
-                                label.empty() ? id_ : label);
+    out.run = collector_->report(label.empty() ? id_ : label);
   }
   out.messages_produced = produced_.load();
   out.messages_processed = messages_processed();

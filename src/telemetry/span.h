@@ -30,23 +30,45 @@ struct MessageSpan {
 
   bool complete() const { return produced_ns != 0 && process_end_ns != 0; }
 
-  // --- derived stage latencies in milliseconds (0 if stage missing) ---
+  // --- derived stage latencies (0 if a stage is missing) ---
+  static std::uint64_t ns_between(std::uint64_t a, std::uint64_t b) {
+    return (a == 0 || b == 0 || b < a) ? 0 : b - a;
+  }
   static double ms_between(std::uint64_t a, std::uint64_t b) {
-    if (a == 0 || b == 0 || b < a) return 0.0;
-    return static_cast<double>(b - a) / 1e6;
+    return to_ms(ns_between(a, b));
   }
 
   /// Produce -> processing done: the paper's end-to-end latency.
-  double end_to_end_ms() const { return ms_between(produced_ns, process_end_ns); }
+  std::uint64_t end_to_end_ns() const {
+    return ns_between(produced_ns, process_end_ns);
+  }
   /// Produce -> broker append (edge side + uplink).
-  double ingress_ms() const { return ms_between(produced_ns, broker_ns); }
+  std::uint64_t ingress_ns() const {
+    return ns_between(produced_ns, broker_ns);
+  }
   /// Broker append -> consumer receipt (broker residency + downlink);
   /// grows when the processing side is the bottleneck.
-  double broker_residency_ms() const { return ms_between(broker_ns, consumed_ns); }
+  std::uint64_t broker_residency_ns() const {
+    return ns_between(broker_ns, consumed_ns);
+  }
   /// Consumer receipt -> processing start (consumer-side queueing).
-  double consumer_queue_ms() const { return ms_between(consumed_ns, process_start_ns); }
+  std::uint64_t consumer_queue_ns() const {
+    return ns_between(consumed_ns, process_start_ns);
+  }
   /// Pure model compute time.
-  double processing_ms() const { return ms_between(process_start_ns, process_end_ns); }
+  std::uint64_t processing_ns() const {
+    return ns_between(process_start_ns, process_end_ns);
+  }
+
+  double end_to_end_ms() const { return to_ms(end_to_end_ns()); }
+  double ingress_ms() const { return to_ms(ingress_ns()); }
+  double broker_residency_ms() const { return to_ms(broker_residency_ns()); }
+  double consumer_queue_ms() const { return to_ms(consumer_queue_ns()); }
+  double processing_ms() const { return to_ms(processing_ns()); }
+
+  static double to_ms(std::uint64_t ns) {
+    return static_cast<double>(ns) / 1e6;
+  }
 };
 
 }  // namespace pe::tel

@@ -1,8 +1,8 @@
 // Pipeline behaviour under mid-run resource failures.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <mutex>
-#include <set>
 
 #include "core/functions.h"
 #include "core/pipeline.h"
@@ -260,9 +260,25 @@ TEST_F(PipelineFailureTest, TransientProcessingFailuresRetryInPlace) {
   config.processing_retries = 2;
 
   // Every message fails with UNAVAILABLE on its first attempt and succeeds
-  // on retry — nothing may reach the DLQ.
+  // on retry — nothing may reach the DLQ. The first attempt scribbles on
+  // the block it was handed before failing; the retry must still see the
+  // block as it was consumed (same id, rows and values).
+  struct Seen {
+    std::size_t rows = 0;
+    std::uint64_t checksum = 0;
+  };
   auto mutex = std::make_shared<std::mutex>();
-  auto failed_once = std::make_shared<std::set<std::uint64_t>>();
+  auto first_attempt = std::make_shared<std::map<std::uint64_t, Seen>>();
+  auto retries_matching = std::make_shared<std::size_t>(0);
+  const auto checksum = [](const data::DataBlock& block) {
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the values
+    const auto* bytes =
+        reinterpret_cast<const unsigned char*>(block.values.data());
+    for (std::size_t i = 0; i < block.values.size() * sizeof(double); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+    return h;
+  };
   EdgeToCloudPipeline pipeline(config);
   pipeline.set_fabric(fabric_)
       .set_pilot_edge(edge_)
@@ -270,12 +286,22 @@ TEST_F(PipelineFailureTest, TransientProcessingFailuresRetryInPlace) {
       .set_pilot_cloud_broker(broker_)
       .set_produce_function(functions::make_generator_produce({}, 50))
       .set_process_cloud_function(shared_process_fn(
-          [mutex, failed_once](FunctionContext&, data::DataBlock block)
+          [mutex, first_attempt, retries_matching, checksum](
+              FunctionContext&, data::DataBlock block)
               -> Result<ProcessResult> {
             {
               std::lock_guard<std::mutex> lock(*mutex);
-              if (failed_once->insert(block.message_id).second) {
+              const Seen now{block.rows, checksum(block)};
+              auto [it, first] =
+                  first_attempt->emplace(block.message_id, now);
+              if (first) {
+                block.rows = 0;
+                block.values.assign(block.values.size(), -1.0);
                 return Status::Unavailable("transient glitch");
+              }
+              if (it->second.rows == now.rows && now.rows == 50 &&
+                  it->second.checksum == now.checksum) {
+                *retries_matching += 1;
               }
             }
             ProcessResult out;
@@ -288,6 +314,9 @@ TEST_F(PipelineFailureTest, TransientProcessingFailuresRetryInPlace) {
   EXPECT_EQ(report.messages_produced, 50u);
   EXPECT_EQ(report.messages_processed, 50u);
   EXPECT_EQ(report.messages_dead_lettered, 0u);
+  std::lock_guard<std::mutex> lock(*mutex);
+  EXPECT_EQ(first_attempt->size(), 50u);
+  EXPECT_EQ(*retries_matching, 50u);
 }
 
 }  // namespace
