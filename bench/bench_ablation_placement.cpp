@@ -7,7 +7,6 @@
 // (b) hybrid with 4x edge aggregation, (c) hybrid with 16x aggregation,
 // and prints the placement advisor's estimate next to the measured rows.
 #include "bench_util.h"
-#include "telemetry/energy.h"
 
 int main() {
   using namespace pe;
@@ -58,19 +57,10 @@ int main() {
     bench::print_row(variant.name, kPoints, kPartitions, report);
     const auto links = tb.fabric->link_stats();
     const auto it = links.find("jetstream-us->lrz-eu");
-    std::uint64_t wan_bytes = 0;
     if (it != links.end()) {
-      wan_bytes = it->second.bytes;
       std::printf("    [wan] %s shipped %.1f MB\n", variant.name,
-                  static_cast<double>(wan_bytes) / 1e6);
+                  static_cast<double>(it->second.bytes) / 1e6);
     }
-    // Energy ablation (paper future work): same run, first-order joules.
-    tel::EnergyModel energy;
-    const auto inputs = energy.inputs_from_run(
-        report.run, kPartitions, /*cloud_cores=*/kPartitions, wan_bytes,
-        /*lan_bytes=*/report.broker.bytes_out);
-    std::printf("    [energy] %s: %s\n", variant.name,
-                energy.estimate(inputs).to_string().c_str());
   }
 
   // What the cost model would have recommended for this workload.

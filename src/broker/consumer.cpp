@@ -59,6 +59,11 @@ bool Consumer::is_assigned(const TopicPartition& tp) const {
 std::optional<std::uint64_t> Consumer::initial_position(
     const TopicPartition& tp) {
   if (auto offset = endpoint_->committed_offset(group_, tp)) return offset;
+  return reset_position(tp);
+}
+
+std::optional<std::uint64_t> Consumer::reset_position(
+    const TopicPartition& tp) {
   auto start = config_.offset_reset == OffsetReset::kEarliest
                    ? endpoint_->log_start_offset(tp.topic, tp.partition)
                    : endpoint_->end_offset(tp.topic, tp.partition);
@@ -155,8 +160,14 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
       if (!fetched.ok()) {
         const Status& failure = fetched.status();
         if (failure.code() == StatusCode::kOutOfRange) {
-          // Retained away or stale position: re-resolve it next sweep.
-          positions_.erase(pos);
+          // Retained away or stale position: reset it by offset_reset. A
+          // re-resolve through initial_position would return the same
+          // out-of-range committed offset forever.
+          if (auto reset = reset_position(tp)) {
+            pos->second = *reset;
+          } else {
+            positions_.erase(pos);
+          }
         } else if (failure.retry_after() > Duration::zero()) {
           // Fetch quota in debt: every partition would get the same
           // refusal, so surface the throttle (with the broker's

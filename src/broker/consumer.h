@@ -22,7 +22,8 @@
 
 namespace pe::broker {
 
-/// Where to start when a partition has no committed offset.
+/// Where to start when a partition has no committed offset, or when the
+/// position fell out of the log's range (Kafka's auto.offset.reset).
 enum class OffsetReset {
   kEarliest,
   kLatest,
@@ -120,6 +121,9 @@ class Consumer {
   /// Committed offset, else the reset point; nullopt (never a guessed 0)
   /// while the endpoint cannot tell.
   std::optional<std::uint64_t> initial_position(const TopicPartition& tp);
+  /// The offset_reset point: the log start or the end; nullopt while the
+  /// endpoint cannot tell.
+  std::optional<std::uint64_t> reset_position(const TopicPartition& tp);
 
   std::shared_ptr<Endpoint> endpoint_;
   std::shared_ptr<net::Fabric> fabric_;

@@ -8,46 +8,6 @@ Producer::Producer(std::shared_ptr<Endpoint> endpoint,
       fabric_(std::move(fabric)),
       site_(std::move(site)) {}
 
-Producer::~Producer() {
-  if (accumulator_) (void)accumulator_->close();
-}
-
-void Producer::enable_batching(BatchConfig config) {
-  accumulator_ = std::make_unique<BatchAccumulator>(
-      config, [this](const std::string& topic, std::uint32_t partition,
-                     std::vector<Record> records) {
-        return send_batch(topic, partition, std::move(records)).status();
-      });
-}
-
-Status Producer::enqueue(const std::string& topic, std::uint32_t partition,
-                         Record record) {
-  if (!accumulator_) {
-    return Status::FailedPrecondition("batching not enabled");
-  }
-  return accumulator_->add(topic, partition, std::move(record));
-}
-
-Status Producer::flush() {
-  if (!accumulator_) return Status::Ok();
-  return accumulator_->flush();
-}
-
-Status Producer::close() {
-  if (!accumulator_) return Status::Ok();
-  return accumulator_->close();
-}
-
-BatchAccumulatorStats Producer::batch_stats() const {
-  if (!accumulator_) return {};
-  return accumulator_->stats();
-}
-
-Status Producer::last_batch_error() const {
-  if (!accumulator_) return Status::Ok();
-  return accumulator_->last_error();
-}
-
 Result<RecordMetadata> Producer::send(const std::string& topic,
                                       Record record) {
   auto partition = endpoint_->select_partition(topic, record);

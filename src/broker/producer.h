@@ -15,7 +15,6 @@
 
 #include "common/ids.h"
 #include "common/status.h"
-#include "broker/batch_accumulator.h"
 #include "broker/endpoint.h"
 #include "common/mutex.h"
 #include "network/fabric.h"
@@ -40,7 +39,6 @@ class Producer {
  public:
   Producer(std::shared_ptr<Endpoint> endpoint,
            std::shared_ptr<net::Fabric> fabric, net::SiteId site);
-  ~Producer();
 
   /// Sends one record; partition chosen by the topic's partitioner.
   Result<RecordMetadata> send(const std::string& topic, Record record);
@@ -55,28 +53,10 @@ class Producer {
                                     std::uint32_t partition,
                                     std::vector<Record> records);
 
-  // --- batching path ---
-  /// Installs a batching accumulator: subsequent enqueue() calls coalesce
-  /// records per partition and push them through send_batch when the size
-  /// or linger trigger fires. Call before the first enqueue().
-  void enable_batching(BatchConfig config);
-  /// Buffers one record for batched delivery (requires enable_batching).
-  /// An error status is the synchronous outcome of a size-triggered flush;
-  /// linger-triggered failures surface via batch_stats()/last_batch_error.
-  Status enqueue(const std::string& topic, std::uint32_t partition,
-                 Record record);
-  /// Flushes all batches currently buffered.
-  Status flush();
-  /// Flushes remaining batches and stops the background flusher.
-  Status close();
-
   const net::SiteId& site() const { return site_; }
   /// Client id presented to the serving broker's admission control.
   const std::string& id() const { return id_; }
   ProducerStats stats() const;
-  /// Accumulator stats; zeroes when batching is not enabled.
-  BatchAccumulatorStats batch_stats() const;
-  Status last_batch_error() const;
 
  private:
   std::shared_ptr<Endpoint> endpoint_;
@@ -85,9 +65,6 @@ class Producer {
   const std::string id_ = next_producer_id();
   mutable Mutex mutex_;
   ProducerStats stats_ PE_GUARDED_BY(mutex_);
-  // Set once by enable_batching before any enqueue; the accumulator is
-  // internally synchronized.
-  std::unique_ptr<BatchAccumulator> accumulator_;
 };
 
 }  // namespace pe::broker

@@ -13,6 +13,14 @@ namespace pe::cluster {
 
 namespace {
 
+/// A follower further behind the leader than this drops out of the ISR
+/// until the replication pump catches it back up.
+constexpr std::uint64_t kIsrMaxLagRecords = 256;
+/// Per-follower catch-up bounds for one pump pass (keeps a tick short
+/// even when a follower is far behind).
+constexpr std::size_t kReplicationBatchRecords = 1024;
+constexpr std::uint64_t kReplicationBatchBytes = 4ull << 20;
+
 std::string broker_name_for(BrokerId id) {
   return "broker-" + std::to_string(id);
 }
@@ -862,13 +870,13 @@ std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase() {
         // without a copy.
         std::size_t copied = 0;
         std::uint64_t copied_bytes = 0;
-        while (f_end < l_end && copied < options_.replication_batch_records &&
-               copied_bytes < options_.replication_batch_bytes) {
+        while (f_end < l_end && copied < kReplicationBatchRecords &&
+               copied_bytes < kReplicationBatchBytes) {
           broker::FetchSpec spec;
           spec.offset = f_end;
           spec.max_records = static_cast<std::size_t>(std::min<std::uint64_t>(
-              options_.replication_batch_records - copied, l_end - f_end));
-          spec.max_bytes = options_.replication_batch_bytes - copied_bytes;
+              kReplicationBatchRecords - copied, l_end - f_end));
+          spec.max_bytes = kReplicationBatchBytes - copied_bytes;
           auto batch = leader_node.broker->fetch(topic, p, spec);
           if (!batch.ok()) {
             // Typically OUT_OF_RANGE: the leader retained past the
@@ -896,7 +904,7 @@ std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase() {
                   "cluster.replicated_records");
           replicated_records.add(n);
         }
-        if (l_end - f_end <= options_.isr_max_lag_records) isr.push_back(r);
+        if (l_end - f_end <= kIsrMaxLagRecords) isr.push_back(r);
       }
       std::sort(isr.begin(), isr.end());
       if (isr != meta.isr) {

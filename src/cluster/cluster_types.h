@@ -94,13 +94,6 @@ struct ClusterOptions {
   /// How long a produce waits for the required acks before returning
   /// TIMEOUT (the batch may still replicate afterwards: at-least-once).
   Duration ack_timeout = std::chrono::milliseconds(500);
-  /// A follower further behind the leader than this drops out of the ISR
-  /// until the replication pump catches it back up.
-  std::uint64_t isr_max_lag_records = 256;
-  /// Per-follower catch-up bounds for one pump pass (keeps a tick short
-  /// even when a follower is far behind).
-  std::size_t replication_batch_records = 1024;
-  std::uint64_t replication_batch_bytes = 4ull << 20;
   /// Non-empty => brokers are durable, each under
   /// `<durable_root>/broker-<i>`, and a killed broker recovers from disk.
   std::string durable_root;

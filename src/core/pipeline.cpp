@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "broker/consumer.h"
 #include "broker/producer.h"
@@ -33,6 +34,10 @@ Status send_with_retry(broker::Producer& producer, const std::string& topic,
     Clock::sleep_scaled(std::chrono::milliseconds(5));
   }
 }
+
+// Startup barrier bound (wall time) and its check interval.
+constexpr auto kStartupBarrierTimeout = std::chrono::seconds(2);
+constexpr auto kStartupBarrierStep = std::chrono::microseconds(50);
 
 // Compact summary published to the results topic.
 broker::Record result_record(std::uint64_t message_id,
@@ -241,6 +246,8 @@ Status EdgeToCloudPipeline::start() {
   dead_lettered_.store(0);
   recoveries_.store(0);
   producers_done_.store(false);
+  consumers_joined_.store(0);
+  groups_formed_.store(false);
   producer_handles_.clear();
   {
     MutexLock lock(wiring_mutex_);
@@ -291,6 +298,7 @@ Status EdgeToCloudPipeline::start() {
     stop();
     return spawn_status;
   }
+  await_consumer_groups(stage_pilots, n_processing);
 
   // Producer (edge device) tasks, round-robin across edge pilots.
   producers_running_.store(config_.edge_devices);
@@ -333,6 +341,29 @@ Status EdgeToCloudPipeline::start() {
                           << " processing tasks, mode "
                           << to_string(config_.mode));
   return Status::Ok();
+}
+
+void EdgeToCloudPipeline::await_consumer_groups(
+    const std::vector<res::PilotPtr>& stage_pilots, std::size_t consumers) {
+  std::vector<std::shared_ptr<exec::Cluster>> clusters;
+  for (const auto& pilot : stage_pilots) {
+    auto cluster = pilot->cluster();
+    if (cluster && std::find(clusters.begin(), clusters.end(), cluster) ==
+                       clusters.end()) {
+      clusters.push_back(std::move(cluster));
+    }
+  }
+  const auto deadline = Clock::now() + kStartupBarrierTimeout;
+  // Tasks queued beyond their pilot's cores join later, whatever we wait.
+  while (Clock::now() < deadline) {
+    std::size_t queued = 0;
+    for (const auto& cluster : clusters) {
+      queued += cluster->scheduler().stats().pending_tasks;
+    }
+    if (consumers_joined_.load() + queued >= consumers) break;
+    std::this_thread::sleep_for(kStartupBarrierStep);
+  }
+  groups_formed_.store(true);
 }
 
 void EdgeToCloudPipeline::on_pilot_replaced(const res::PilotPtr& failed,
@@ -558,6 +589,12 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
   if (stage != 0) group += "-" + std::to_string(stage);
   broker::Consumer consumer(broker_, fabric_, site, group, consumer_config);
   if (auto s = consumer.subscribe({topic}); !s.ok()) return s;
+  consumers_joined_.fetch_add(1);
+  // No fetch before the startup barrier releases: the first poll after it
+  // adopts the final assignment before it fetches.
+  while (!groups_formed_.load() && !tctx.stop_requested()) {
+    std::this_thread::sleep_for(kStartupBarrierStep);
+  }
   // Forwarding stages send to the next stage's topic; the cloud stage
   // may publish ResultRecords.
   std::unique_ptr<broker::Producer> producer;

@@ -224,6 +224,13 @@ class EdgeToCloudPipeline {
                        const net::SiteId& site);
   Status processing_body(exec::TaskContext& tctx, std::size_t stage,
                          std::size_t task_index, const net::SiteId& site);
+  /// Bounded wait until every processing consumer that is running (not
+  /// queued on its pilot) has joined its group; then releases them to
+  /// poll. Producers started earlier would race the joins: a member that
+  /// polls under a stale assignment fetches a partition its successor
+  /// then re-reads from the uncommitted start.
+  void await_consumer_groups(const std::vector<res::PilotPtr>& stage_pilots,
+                             std::size_t consumers);
   /// A stage is done once its upstream is done and it has handled every
   /// record the upstream passed on.
   bool stage_done(std::size_t stage) const;
@@ -282,6 +289,10 @@ class EdgeToCloudPipeline {
   std::atomic<std::uint64_t> dead_lettered_{0};
   std::atomic<std::uint64_t> recoveries_{0};
   std::atomic<std::uint64_t> producers_running_{0};
+  // Startup barrier (start()): processing consumers that joined their
+  // group; set once every running one has, and they may poll.
+  std::atomic<std::size_t> consumers_joined_{0};
+  std::atomic<bool> groups_formed_{false};
 
   // Bumped by replace_process_cloud_function (dynamism).
   std::atomic<std::uint64_t> cloud_factory_generation_{0};

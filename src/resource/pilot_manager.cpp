@@ -11,6 +11,14 @@
 
 namespace pe::res {
 
+namespace {
+
+/// Seed of the re-provisioning backoff jitter (mixed with the pilot's
+/// lineage root and the attempt number).
+constexpr std::uint64_t kReprovisionJitterSeed = 42;
+
+}  // namespace
+
 PilotManager::PilotManager(std::shared_ptr<net::Fabric> fabric,
                            PilotManagerOptions options)
     : fabric_(std::move(fabric)), options_(options) {
@@ -186,7 +194,7 @@ PilotPtr PilotManager::replace_pilot(const PilotPtr& failed) {
       options_.reprovision_backoff * factor);
   backoff = std::min(backoff, std::chrono::duration_cast<Duration>(
                                   options_.reprovision_backoff_cap));
-  Rng jitter_rng(options_.reprovision_seed +
+  Rng jitter_rng(kReprovisionJitterSeed +
                  std::hash<std::string>{}(root) + attempt);
   backoff = std::chrono::duration_cast<Duration>(
       backoff * (1.0 + jitter_rng.uniform(0.0, 0.2)));

@@ -43,7 +43,6 @@ struct PilotManagerOptions {
   /// up to 20% seeded jitter (emulated durations).
   Duration reprovision_backoff = std::chrono::milliseconds(50);
   Duration reprovision_backoff_cap = std::chrono::seconds(2);
-  std::uint64_t reprovision_seed = 42;
 };
 
 /// Fired after a failed pilot's replacement reached ACTIVE. Callbacks run

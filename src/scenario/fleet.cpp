@@ -11,6 +11,16 @@
 namespace pe::scenario {
 namespace {
 
+/// Fraction of devices pinned to partition 0 (hot-partition skew); the
+/// remainder spread uniformly over the other partitions.
+constexpr double kHotDeviceShare = 0.25;
+/// Diurnal modulation amplitude, in [0,1).
+constexpr double kDiurnalAmplitude = 0.6;
+/// Synchronized burst: rate multiplier during the leading `kBurstDuty`
+/// fraction of every diurnal period.
+constexpr double kBurstFactor = 4.0;
+constexpr double kBurstDuty = 0.1;
+
 double seconds(Duration d) {
   return std::chrono::duration<double>(d).count();
 }
@@ -32,7 +42,7 @@ std::uint32_t FleetGenerator::partition_for(std::size_t device) const {
   const auto n = std::max<std::uint32_t>(1, config_.partitions);
   if (n == 1) return 0;
   const auto hot = static_cast<std::size_t>(
-      config_.hot_device_share * static_cast<double>(config_.devices));
+      kHotDeviceShare * static_cast<double>(config_.devices));
   if (device < hot) return 0;  // the skewed head of the fleet
   return 1 + static_cast<std::uint32_t>(device % (n - 1));
 }
@@ -101,10 +111,10 @@ void FleetGenerator::sender_loop(std::size_t thread_index,
 
   for (double t = 0.0; t < duration_s; t += tick_s) {
     double rate = config_.mean_rate_hz *
-                  (1.0 + config_.diurnal_amplitude *
+                  (1.0 + kDiurnalAmplitude *
                              std::sin(2.0 * M_PI * t / period_s));
     const double phase = std::fmod(t, period_s) / period_s;
-    if (phase < config_.burst_duty) rate *= config_.burst_factor;
+    if (phase < kBurstDuty) rate *= kBurstFactor;
     rate = std::max(0.0, rate);
 
     credit += range * rate * tick_s;

@@ -8,12 +8,13 @@
 // fractional credits, so a 100k-device fleet costs the same thread count
 // as a 100-device one. Arrival rate per device follows
 //
-//   rate(t) = mean_rate_hz * (1 + diurnal_amplitude * sin(2*pi*t/period))
-//             * (burst_factor   while the leading `burst_duty` fraction
+//   rate(t) = mean_rate_hz * (1 + kDiurnalAmplitude * sin(2*pi*t/period))
+//             * (kBurstFactor   while the leading `kBurstDuty` fraction
 //                               of each period — the synchronized burst)
 //
-// and a `hot_device_share` fraction of devices is pinned to partition 0,
-// reproducing the skewed partition heat the admission layer exists for.
+// and a `kHotDeviceShare` fraction of devices is pinned to partition 0,
+// reproducing the skewed partition heat the admission layer exists for
+// (the k* shape constants live in fleet.cpp).
 //
 // Senders push through Broker::produce with a per-thread client id and
 // honor backpressure: a transient throttle (quota / hot-window cap) waits
@@ -45,18 +46,10 @@ struct FleetConfig {
   /// Retention applied at topic creation; set retention.hot_max_bytes on
   /// a durable broker so the hot window can drain under a memory cap.
   broker::RetentionPolicy retention;
-  /// Fraction of devices pinned to partition 0 (hot-partition skew); the
-  /// remainder spread uniformly over the other partitions.
-  double hot_device_share = 0.25;
   /// Per-device mean emission rate in emulated records/second.
   double mean_rate_hz = 1.0;
-  /// Diurnal modulation: amplitude in [0,1) and emulated period.
-  double diurnal_amplitude = 0.6;
+  /// Emulated period of the diurnal modulation (and of the burst).
   Duration diurnal_period = std::chrono::seconds(1);
-  /// Synchronized burst: rate multiplier during the leading `burst_duty`
-  /// fraction of every diurnal period.
-  double burst_factor = 4.0;
-  double burst_duty = 0.1;
   std::size_t payload_bytes = 64;
   /// Emulated generation time and tick granularity.
   Duration duration = std::chrono::seconds(2);

@@ -420,9 +420,7 @@ std::size_t ControlPlane::run_gc_once() {
         pid <= 0 || (::kill(pid, 0) != 0 && errno == ESRCH);
     if (!pid_gone) continue;
 
-    if (options_.unlink_dead_rings) {
-      (void)ShmRing::unlink(info.shm_name);
-    }
+    (void)ShmRing::unlink(info.shm_name);
     {
       MutexLock lock(mutex_);
       auto it = channels_.find(info.name);
@@ -431,7 +429,7 @@ std::size_t ControlPlane::run_gc_once() {
         continue;
       }
       it->second.state = ChannelInfo::State::kDead;
-      it->second.unlinked = options_.unlink_dead_rings;
+      it->second.unlinked = true;
       dead_log_.push_back(info.name);
     }
     reg.counter("transport.dead_producer_gcs").add();
@@ -441,20 +439,18 @@ std::size_t ControlPlane::run_gc_once() {
   // Cleanly closed rings: once the producer process itself has exited,
   // nothing will re-open the name — reclaim the shm object. A consumer
   // still draining keeps its mapping; unlink only removes the name.
-  if (options_.unlink_dead_rings) {
-    for (const auto& info : closed_pending) {
-      const pid_t pid = static_cast<pid_t>(info.producer_pid);
-      const bool pid_gone =
-          pid <= 0 || (::kill(pid, 0) != 0 && errno == ESRCH);
-      if (!pid_gone) continue;
-      (void)ShmRing::unlink(info.shm_name);
-      MutexLock lock(mutex_);
-      auto it = channels_.find(info.name);
-      if (it != channels_.end() &&
-          it->second.state == ChannelInfo::State::kClosed) {
-        it->second.unlinked = true;
-        reg.counter("transport.closed_ring_unlinks").add();
-      }
+  for (const auto& info : closed_pending) {
+    const pid_t pid = static_cast<pid_t>(info.producer_pid);
+    const bool pid_gone =
+        pid <= 0 || (::kill(pid, 0) != 0 && errno == ESRCH);
+    if (!pid_gone) continue;
+    (void)ShmRing::unlink(info.shm_name);
+    MutexLock lock(mutex_);
+    auto it = channels_.find(info.name);
+    if (it != channels_.end() &&
+        it->second.state == ChannelInfo::State::kClosed) {
+      it->second.unlinked = true;
+      reg.counter("transport.closed_ring_unlinks").add();
     }
   }
   return declared_dead;

@@ -46,9 +46,6 @@ struct ControlPlaneOptions {
   Duration heartbeat_timeout = std::chrono::seconds(2);
   /// Background GC cadence.
   Duration gc_interval = std::chrono::milliseconds(500);
-  /// Unlink the shm object of a dead channel (tests disable this to
-  /// inspect the corpse).
-  bool unlink_dead_rings = true;
 };
 
 /// One registered channel: a named shm ring plus its producer identity.

@@ -28,13 +28,15 @@ struct ClientTarget {
   std::shared_ptr<Broker> broker;
   std::shared_ptr<cluster::BrokerCluster> cluster;
 
-  Status create_topic(const std::string& topic,
-                      std::uint32_t partitions) const {
+  Status create_topic(const std::string& topic, std::uint32_t partitions,
+                      RetentionPolicy retention = {}) const {
     if (broker) {
-      return broker->create_topic(topic, TopicConfig{.partitions = partitions});
+      return broker->create_topic(
+          topic, TopicConfig{.partitions = partitions, .retention = retention});
     }
     cluster::ClusterTopicConfig config;
     config.partitions = partitions;
+    config.retention = retention;
     return cluster->create_topic(topic, config);
   }
 
@@ -57,11 +59,12 @@ struct ClientTarget {
 };
 
 /// {`broker` over `fabric`, a fresh 3-broker cluster}, each with topic
-/// `topic` of `partitions` partitions (created here on the cluster; the
-/// broker's is the caller's).
+/// `topic` of `partitions` partitions under `retention` (created here on
+/// the cluster; the broker's is the caller's).
 inline std::vector<ClientTarget> client_targets(
     std::shared_ptr<Broker> broker, std::shared_ptr<net::Fabric> fabric,
-    const std::string& topic, std::uint32_t partitions) {
+    const std::string& topic, std::uint32_t partitions,
+    RetentionPolicy retention = {}) {
   std::vector<ClientTarget> targets;
   targets.push_back({"broker", broker, std::move(fabric), broker, nullptr});
 
@@ -72,7 +75,8 @@ inline std::vector<ClientTarget> client_targets(
   auto bc = std::make_shared<cluster::BrokerCluster>(options);
   targets.push_back({"cluster", std::make_shared<cluster::ClusterEndpoint>(bc),
                      nullptr, nullptr, bc});
-  const Status created = targets.back().create_topic(topic, partitions);
+  const Status created =
+      targets.back().create_topic(topic, partitions, retention);
   EXPECT_TRUE(created.ok()) << created.to_string();
   return targets;
 }

@@ -167,6 +167,58 @@ TEST_F(ClientTest, CommittedOffsetsResumeAfterRestart) {
   }
 }
 
+// A committed offset that retention has since dropped is out of range.
+// The consumer resets it by offset_reset (earliest: the log start), as
+// Kafka's auto.offset.reset does, instead of re-resolving to the same
+// committed offset on every sweep and never delivering again.
+TEST_F(ClientTest, CommittedOffsetBelowLogStartResetsByPolicy) {
+  RetentionPolicy retention;
+  retention.max_records = 5;
+  ASSERT_TRUE(broker_
+                  ->create_topic("r", TopicConfig{.partitions = 1,
+                                                  .retention = retention})
+                  .ok());
+  for (const auto& target :
+       client_targets(broker_, fabric_, "r", 1, retention)) {
+    SCOPED_TRACE(target.name);
+    ASSERT_TRUE(target.endpoint->commit_offset("g", {"r", 0}, 0).ok());
+    Producer producer(target.endpoint, target.fabric, "edge");
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(producer.send("r", 0, make_record("k")).ok());
+    }
+    auto log_start = target.endpoint->log_start_offset("r", 0);
+    ASSERT_TRUE(log_start.ok());
+    ASSERT_EQ(log_start.value(), 15u);
+
+    Consumer consumer(target.endpoint, target.fabric, "cloud", "g");
+    ASSERT_TRUE(consumer.assign({{"r", 0}}).ok());
+    std::vector<ConsumedRecord> got;
+    for (int i = 0; i < 5 && got.size() < 5; ++i) {
+      auto records = consumer.poll(std::chrono::milliseconds(20));
+      got.insert(got.end(), records.begin(), records.end());
+    }
+    ASSERT_EQ(got.size(), 5u);
+    EXPECT_EQ(got.front().offset, 15u);
+    EXPECT_EQ(got.back().offset, 19u);
+
+    // latest: the reset skips to the end, so only new records arrive.
+    ASSERT_TRUE(target.endpoint->commit_offset("g-latest", {"r", 0}, 0).ok());
+    ConsumerConfig config;
+    config.offset_reset = OffsetReset::kLatest;
+    Consumer latest(target.endpoint, target.fabric, "cloud", "g-latest",
+                    config);
+    ASSERT_TRUE(latest.assign({{"r", 0}}).ok());
+    EXPECT_TRUE(latest.poll(std::chrono::milliseconds(20)).empty());
+    ASSERT_TRUE(producer.send("r", 0, make_record("new")).ok());
+    got.clear();
+    for (int i = 0; i < 5 && got.empty(); ++i) {
+      got = latest.poll(std::chrono::milliseconds(20));
+    }
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got.front().offset, 20u);
+  }
+}
+
 TEST_F(ClientTest, SeekRewindsPosition) {
   for (const auto& target : targets()) {
     SCOPED_TRACE(target.name);
@@ -407,33 +459,6 @@ TEST_F(ClientTest, PollSharesFetchMaxBytesAcrossPartitions) {
     }
     EXPECT_EQ(total, 12u);
   }
-}
-
-// Producer-side batching: enqueued records coalesce into one transfer and
-// one broker produce per flush.
-TEST_F(ClientTest, BatchingProducerCoalescesEnqueues) {
-  Producer producer(broker_, fabric_, "edge");
-  BatchConfig config;
-  config.linger = std::chrono::seconds(60);  // only explicit flushes
-  config.batch_max_bytes = 1ull << 20;
-  producer.enable_batching(config);
-
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(producer.enqueue("t", 0, make_record("k")).ok());
-  }
-  const auto before = fabric_->link_stats().at("edge->cloud").transfers;
-  ASSERT_TRUE(producer.flush().ok());
-  const auto after = fabric_->link_stats().at("edge->cloud").transfers;
-  EXPECT_EQ(after - before, 1u);  // 10 records, one wire transfer
-  EXPECT_EQ(producer.stats().records_sent, 10u);
-  EXPECT_EQ(producer.batch_stats().records_flushed, 10u);
-
-  Consumer consumer(broker_, fabric_, "cloud", "g-batch");
-  ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
-  EXPECT_EQ(consumer.poll(std::chrono::milliseconds(100)).size(), 10u);
-  ASSERT_TRUE(producer.close().ok());
-  EXPECT_EQ(producer.enqueue("t", 0, make_record("k")).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

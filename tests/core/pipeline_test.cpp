@@ -77,6 +77,26 @@ TEST_F(PipelineTest, BaselineRunProcessesEveryMessage) {
   EXPECT_GE(report.value().broker.records_out, 10u);
 }
 
+// A fault-free run delivers every record once. start() launches the
+// producers only after every processing consumer has joined its group, and
+// no consumer polls before that; otherwise the first member fetches a
+// partition that the second then re-reads from the uncommitted start.
+TEST_F(PipelineTest, FaultFreeRunsRedeliverNothing) {
+  for (int run = 0; run < 5; ++run) {
+    SCOPED_TRACE(run);
+    auto config = small_config(4, 500, 25);
+    config.partitions = 2;
+    config.processing_tasks = 2;
+    config.topic = "pe-startup-" + std::to_string(run);
+    EdgeToCloudPipeline pipeline(config);
+    wire(pipeline);
+    auto report = pipeline.run();
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    EXPECT_EQ(report.value().messages_processed, 2000u);
+    EXPECT_EQ(report.value().duplicates_skipped, 0u);
+  }
+}
+
 TEST_F(PipelineTest, ValidationCatchesMissingPieces) {
   {
     EdgeToCloudPipeline p(small_config());

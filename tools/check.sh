@@ -14,6 +14,7 @@
 #   tools/check.sh fleet-smoke [devices]     # 100k-device fleet, capped broker
 #   tools/check.sh quota-storm [devices]     # fleet under a tight quota
 #   tools/check.sh transport-smoke [records] # 3-process shm pipeline + kill -9
+#   tools/check.sh reach                     # no src/ header only tests reach
 set -euo pipefail
 
 MODE="${1:-thread}"
@@ -207,11 +208,34 @@ case "${MODE}" in
     echo "transport-smoke: OK (${RECORDS} records, kill -9 recovery clean)"
     ;;
 
+  reach)
+    # Include-level reachability: fails when a src/ header is included by
+    # nothing except its own .cpp and tests/ (no src/ module, tool,
+    # example or bench uses it). It sees includes only: a dead API behind
+    # a header that is reached for something else goes unnoticed. Find
+    # those by linking the non-test binaries with -ffunction-sections
+    # -Wl,--gc-sections -Wl,--print-gc-sections and looking for the
+    # functions that survive in none of them.
+    cd "${ROOT}"
+    UNREACHED=0
+    while IFS= read -r HEADER; do
+      OWN="${HEADER%.h}.cpp"
+      if ! grep -rlF --include='*.h' --include='*.cpp' \
+             "#include \"${HEADER#src/}\"" \
+             src tools examples bench bench_e2e | grep -qvxF "${OWN}"; then
+        echo "unreached header: ${HEADER}" >&2
+        UNREACHED=1
+      fi
+    done < <(find src -name '*.h' | sort)
+    [[ "${UNREACHED}" == 0 ]] || exit 1
+    echo "reach: every src/ header is included outside its own .cpp and tests/"
+    ;;
+
   *)
     echo "error: unknown mode '${MODE}'" >&2
     echo "modes: thread | address | undefined | thread-safety | tidy |" \
          "storage-torture | cluster-torture | fleet-smoke | quota-storm |" \
-         "transport-smoke" >&2
+         "transport-smoke | reach" >&2
     exit 2
     ;;
 esac
