@@ -210,7 +210,7 @@ Result<storage::RecoveryReport> Broker::crash_and_recover(
   const auto t0 = Clock::now();
   WriterLock lock(mutex_);
   // Power-cut every log: fsynced prefixes survive, unsynced tails are
-  // (partially) lost — possibly mid-frame, which recovery must truncate.
+  // (partially) lost — possibly mid-batch, which recovery must truncate.
   for (auto& [tname, topic] : topics_) {
     for (std::uint32_t p = 0; p < topic->partition_count(); ++p) {
       topic->partition(p)->simulate_power_loss(keep_fraction);

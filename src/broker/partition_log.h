@@ -10,7 +10,7 @@
 // Two storage tiers:
 //  - in-memory deque: the hot tail, always present, serves most fetches;
 //  - optional durable tier (storage::LogDir): every append also lands in
-//    a CRC-framed segmented commit log on disk. Fetches below the hot
+//    a CRC-checked segmented commit log on disk. Fetches below the hot
 //    window are served from mmap'd segments as zero-copy payload views,
 //    and the log survives a broker crash — reopening the same directory
 //    resumes the offset sequence after truncating any torn tail.
@@ -82,7 +82,7 @@ class PartitionLog {
 
   /// Power-loss simulation on the durable tier: the fsynced prefix
   /// survives, `keep_fraction` of unsynced tail bytes survive (possibly
-  /// mid-frame), and the log stops accepting durable writes. Reopen the
+  /// mid-batch), and the log stops accepting durable writes. Reopen the
   /// directory (new PartitionLog) to recover. No-op for in-memory logs.
   void simulate_power_loss(double keep_fraction);
 

@@ -67,7 +67,7 @@ struct FaultEvent {
   std::uint32_t partition = 0;
   /// For kCrashBroker: fraction of each log's unsynced tail bytes that
   /// survive the power cut (0 = clean cut at the fsync boundary; values
-  /// in between produce torn frames for recovery to truncate).
+  /// in between produce torn batches for recovery to truncate).
   double keep_fraction = 0.0;
   std::string reason = "chaos";
 };

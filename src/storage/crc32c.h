@@ -6,9 +6,8 @@
 //     because the build flags carry no -msse4.2;
 //   - table: byte-at-a-time, the portable fallback.
 // crc32c() picks the SSE4.2 kernel when the CPU reports it (checked once
-// per process) and the table otherwise. Header-only so the frame codec,
-// the recovery scanner and the shm ring share one definition without a
-// link dependency.
+// per process) and the table otherwise. Header-only so the record-batch
+// codec and the shm ring share one definition without a link dependency.
 #pragma once
 
 #include <array>

@@ -20,16 +20,11 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t frame_size_of(const broker::Record& record) {
-  return kFrameHeaderBytes + kFrameBodyFixedBytes + record.key.size() +
-         record.value.size();
-}
-
 /// How many consecutive covering fsyncs one group-commit leader runs for
 /// bytes that are not its own before handing leadership to a waiter.
 constexpr int kLeaderChoreBudget = 8;
 
-/// append_batch keeps its frame buffer between calls only up to this
+/// append_batch keeps its encode buffer between calls only up to this
 /// capacity; a larger one (a replication catch-up batch) is freed.
 constexpr std::size_t kEncodeBufKeepBytes = 1u << 20;
 
@@ -121,15 +116,14 @@ Status LogDir::recover_locked(RecoveryReport* report) {
       continue;
     }
     auto segment = std::make_unique<Segment>(path, base);
-    auto scanned = segment->scan();
-    if (!scanned.ok()) return scanned.status();
+    auto torn = segment->scan();
+    if (!torn.ok()) return torn.status();
     report->segments_scanned += 1;
     report->records_recovered += segment->record_count();
-    report->bytes_recovered += scanned.value().valid_bytes;
-    if (scanned.value().torn_bytes > 0) {
-      report->torn_bytes_truncated += scanned.value().torn_bytes;
-      metrics.counter("storage.torn_bytes_truncated")
-          .add(scanned.value().torn_bytes);
+    report->bytes_recovered += segment->bytes();
+    if (torn.value() > 0) {
+      report->torn_bytes_truncated += torn.value();
+      metrics.counter("storage.torn_bytes_truncated").add(torn.value());
       tail_is_torn = true;  // anything after this segment is unreachable
     }
     // Empty (fully-torn or rolled-but-never-written) segments stay in the
@@ -350,65 +344,41 @@ Result<std::uint64_t> LogDir::append_batch(
   }
   if (records.empty()) return end_offset_locked();
 
-  std::uint64_t batch_bytes = 0;
+  std::uint64_t batch_bytes = kBatchHeaderBytes;
   for (const TimestampedRecord& tr : records) {
-    batch_bytes += frame_size_of(*tr.record);
+    batch_bytes += batch_record_bytes(*tr.record);
   }
-  // All frames of a segment chunk (usually the whole batch) are encoded
-  // back to back into encode_buf_ and hit the file in a single write().
-  // The buffer is used only between lock-held points: roll_locked may
-  // release the mutex, but never while a chunk is half encoded.
+  // Each segment chunk (usually the whole call) is encoded as one batch
+  // into encode_buf_ and hits the file in a single write(). The buffer is
+  // used only between lock-held points: roll_locked may release the
+  // mutex, but never while a batch is half encoded.
   encode_buf_.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(batch_bytes, config_.segment_max_bytes)));
-  std::vector<FrameMeta> frames;
-  frames.reserve(records.size());
 
-  bool have_first = false;
   std::uint64_t first = 0;
   Status failed = Status::Ok();
-  std::size_t i = 0;
-  while (i < records.size()) {
-    if (segments_.back()->record_count() > 0 &&
-        segments_.back()->bytes() + frame_size_of(*records[i].record) >
-            config_.segment_max_bytes) {
-      if (auto s = roll_locked(lock); !s.ok()) {
-        failed = s;
-        break;
-      }
+  auto fits = [&](std::uint64_t bytes) PE_NO_THREAD_SAFETY_ANALYSIS {
+    return segments_.back()->bytes() + bytes <= config_.segment_max_bytes;
+  };
+  for (std::size_t i = 0; i < records.size() && failed.ok();) {
+    // Chunk: the run of records that fits the active segment as one
+    // batch. A record that does not fit a non-empty segment rolls it
+    // first (then re-check: a concurrent appender may have rolled); an
+    // empty segment takes even an oversized one.
+    std::uint64_t chunk =
+        kBatchHeaderBytes + batch_record_bytes(*records[i].record);
+    if (segments_.back()->record_count() > 0 && !fits(chunk)) {
+      failed = roll_locked(lock);
+      continue;
     }
-    // Chunk: the consecutive run of frames that fits the active segment.
     encode_buf_.clear();
-    frames.clear();
-    std::uint64_t seg_bytes = segments_.back()->bytes();
-    std::uint64_t seg_records = segments_.back()->record_count();
-    std::uint64_t offset = end_offset_locked();
-    while (i < records.size()) {
-      const broker::Record& record = *records[i].record;
-      const std::uint64_t frame_size = frame_size_of(record);
-      if ((seg_records > 0 || !frames.empty()) &&
-          seg_bytes + frame_size > config_.segment_max_bytes) {
-        break;  // next chunk after a roll
-      }
-      FrameMeta meta;
-      meta.offset = offset;
-      meta.broker_timestamp_ns = records[i].broker_timestamp_ns;
-      meta.buf_pos = encode_buf_.size();
-      encode_frame(encode_buf_, offset, meta.broker_timestamp_ns, record);
-      meta.frame_bytes = encode_buf_.size() - meta.buf_pos;
-      frames.push_back(meta);
-      seg_bytes += meta.frame_bytes;
-      ++seg_records;
-      ++offset;
-      ++i;
-    }
-    if (!frames.empty() && !have_first) {
-      have_first = true;
-      first = frames.front().offset;
-    }
-    if (auto s = writer_->append_encoded(encode_buf_, frames); !s.ok()) {
-      failed = s;
-      break;
-    }
+    if (i == 0) first = end_offset_locked();
+    BatchBuilder batch(encode_buf_, end_offset_locked());
+    do {
+      batch.add(*records[i].record, records[i].broker_timestamp_ns);
+    } while (++i < records.size() &&
+             fits(chunk += batch_record_bytes(*records[i].record)));
+    failed = writer_->append_encoded(encode_buf_, batch.finish());
   }
   if (encode_buf_.capacity() > kEncodeBufKeepBytes) {
     encode_buf_ = Bytes();  // a catch-up burst must not pin its peak
@@ -432,17 +402,12 @@ void LogDir::inject_append_failures(std::uint64_t n) {
 }
 
 std::size_t LogDir::segment_index_locked(std::uint64_t offset) const {
-  // Last segment whose base_offset <= offset.
-  std::size_t lo = 0, hi = segments_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (segments_[mid]->base_offset() <= offset) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo - 1;  // precondition: offset >= segments_.front()->base_offset()
+  // Last segment whose base_offset <= offset (precondition: offset >=
+  // segments_.front()->base_offset()).
+  const auto after = std::upper_bound(
+      segments_.begin(), segments_.end(), offset,
+      [](std::uint64_t o, const auto& s) { return o < s->base_offset(); });
+  return static_cast<std::size_t>(after - segments_.begin()) - 1;
 }
 
 Result<std::vector<broker::ConsumedRecord>> LogDir::fetch(
@@ -463,50 +428,29 @@ Result<std::vector<broker::ConsumedRecord>> LogDir::fetch(
   if (offset == end) return out;
 
   std::uint64_t bytes = 0;
-  std::size_t seg_idx = segment_index_locked(offset);
-  while (seg_idx < segments_.size() && out.size() < max_records) {
+  std::uint64_t at = offset;
+  for (std::size_t seg_idx = segment_index_locked(offset);
+       at < end && out.size() < max_records; ++seg_idx) {
     const Segment& segment = *segments_[seg_idx];
-    if (segment.record_count() == 0) break;  // empty active segment
-    auto mapped = segment.mapping();
-    if (!mapped.ok()) return mapped.status();
-    const std::shared_ptr<MmapRegion>& region = mapped.value();
-    const std::uint64_t from =
-        out.empty() ? offset : segment.base_offset();
-    auto pos = segment.position_of(from);
+    auto pos = segment.position_of(at);
     if (!pos.ok()) return pos.status();
     std::uint64_t p = pos.value();
-    std::uint64_t at = from;
     while (at < segment.end_offset() && out.size() < max_records) {
-      FrameView frame;
-      if (p >= region->size() ||
-          parse_frame(region->data() + p, region->size() - p, &frame) !=
-              FrameParse::kOk) {
-        return Status::Internal("segment '" + segment.path() +
-                                "' fetch walk hit invalid frame at byte " +
-                                std::to_string(p));
-      }
-      const std::uint64_t wire = frame.key_len + frame.value_len +
-                                 broker::kRecordWireOverheadBytes;
-      // The first record always ships, even when it alone exceeds the
-      // byte budget — a single oversized record must not stall a
-      // consumer forever.
-      if (!out.empty() && bytes + wire > max_bytes) {
-        return out;
-      }
+      BatchReader batch;
+      if (auto s = segment.read_batch(p, &batch); !s.ok()) return s;
       broker::ConsumedRecord cr;
-      cr.offset = frame.offset;
-      cr.broker_timestamp_ns = frame.broker_timestamp_ns;
-      cr.record.key.assign(reinterpret_cast<const char*>(frame.key),
-                           frame.key_len);
-      cr.record.client_timestamp_ns = frame.client_timestamp_ns;
-      // Zero-copy: the payload aliases the mapping, which stays alive via
-      // the shared owner even after retention unlinks or remaps the file.
-      cr.record.value =
-          broker::Payload::view(region, frame.value, frame.value_len);
-      bytes += wire;
-      out.push_back(std::move(cr));
-      p += frame.frame_bytes;
-      ++at;
+      while (out.size() < max_records && batch.next(&cr)) {
+        if (cr.offset < at) continue;  // a fetch that starts mid-batch
+        // The first record always ships, even when it alone exceeds the
+        // byte budget — a single oversized record must not stall a
+        // consumer forever.
+        const std::uint64_t wire = cr.record.wire_size();
+        if (!out.empty() && bytes + wire > max_bytes) return out;
+        bytes += wire;
+        at = cr.offset + 1;
+        out.push_back(std::move(cr));
+      }
+      p += batch.header().bytes;
     }
     if (at == segment.end_offset() && seg_idx + 1 < segments_.size()) {
       // Walked off the end of a sealed segment: a reader that has moved
@@ -514,7 +458,6 @@ Result<std::vector<broker::ConsumedRecord>> LogDir::fetch(
       // records above still own the region; it unmaps when they drop.
       segment.release_mapping();
     }
-    ++seg_idx;
   }
   return out;
 }
@@ -577,18 +520,12 @@ std::uint64_t LogDir::offset_for_timestamp(std::uint64_t ts_ns) const {
   // candidate records, so they are ordered as "older than everything":
   // without this the binary search can land on the empty active segment
   // and fall through to the error path below.
-  std::size_t lo = 0, hi = segments_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (segments_[mid]->record_count() == 0 ||
-        segments_[mid]->last_timestamp_ns() < ts_ns) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == segments_.size()) return end_offset_locked();
-  auto found = segments_[lo]->offset_for_timestamp(ts_ns);
+  const auto it = std::partition_point(
+      segments_.begin(), segments_.end(), [ts_ns](const auto& s) {
+        return s->record_count() == 0 || s->last_timestamp_ns() < ts_ns;
+      });
+  if (it == segments_.end()) return end_offset_locked();
+  auto found = (*it)->offset_for_timestamp(ts_ns);
   if (!found.ok()) {
     PE_LOG_WARN("offset_for_timestamp: " << found.status().to_string());
     return end_offset_locked();
@@ -637,21 +574,11 @@ Status LogDir::truncate_suffix(std::uint64_t offset) {
     segments_.push_back(std::make_unique<Segment>(
         (fs::path(dir_) / segment_file_name(offset)).string(), offset));
   } else if (segments_.back()->end_offset() > offset) {
-    // Boundary segment: cut the file at the first discarded frame and
-    // rebuild the segment's metadata/index from the surviving prefix.
-    Segment* tail = segments_.back().get();
-    auto pos = tail->position_of(offset);
-    if (!pos.ok()) return fail_closed(pos.status());
-    fs::resize_file(tail->path(), pos.value(), ec);
-    if (ec) {
-      return fail_closed(Status::Internal("truncate '" + tail->path() +
-                                          "': " + ec.message()));
+    // Boundary segment: the log must end exactly at `offset`, also when
+    // the cut lands inside a batch.
+    if (auto s = segments_.back()->cut_at(offset); !s.ok()) {
+      return fail_closed(s);
     }
-    auto rebuilt =
-        std::make_unique<Segment>(tail->path(), tail->base_offset());
-    auto scanned = rebuilt->scan();
-    if (!scanned.ok()) return fail_closed(scanned.status());
-    segments_.back() = std::move(rebuilt);
   }
 
   auto writer = SegmentWriter::open(segments_.back().get());

@@ -1,7 +1,7 @@
 // LogDir: a directory of commit-log segments — the durable backing store
 // for broker partitions and parameter-server snapshots.
 //
-// open() scans the segments in offset order, verifies every CRC32C frame,
+// open() scans the segments in offset order, verifies every record batch,
 // truncates the torn tail (and deletes any segments made unreachable by a
 // mid-log corruption), and resumes the offset sequence exactly where the
 // crash left it. Appends go to the active (last) segment and roll to a
@@ -15,7 +15,7 @@
 // a reader still maps it), and the next roll renames it to the new
 // segment's name and overwrites it from byte 0. The write lands on pages
 // the file already holds rather than on freshly allocated ones; recovery
-// tells the stale frames behind the valid bytes apart by their offsets.
+// tells the stale batches behind the valid bytes apart by their offsets.
 //
 // Sync is group-committed: under kEverySync, concurrent appenders do not
 // serialize one fsync each — the first becomes the sync leader, releases
@@ -47,7 +47,7 @@
 namespace pe::storage {
 
 /// One record of a batched append, with the broker timestamp it must be
-/// framed with (replication preserves the leader's per-record stamps; a
+/// stored with (replication preserves the leader's per-record stamps; a
 /// fresh produce stamps the whole batch with one now). The pointed-at
 /// record must stay alive for the duration of the append_batch call.
 struct TimestampedRecord {
@@ -84,10 +84,10 @@ class LogDir {
     return append_batch({{&record, broker_timestamp_ns}});
   }
 
-  /// Appends a whole batch under one lock acquisition: frames are encoded
-  /// into one reused write buffer per segment chunk, written with
-  /// one write() call, indexed with one bookkeeping walk, and covered by
-  /// at most one policy sync for the entire batch. Returns the offset of
+  /// Appends a whole batch under one lock acquisition: each segment chunk
+  /// is encoded as one record batch into a reused write buffer, written
+  /// with one write() call and indexed once, and the whole call is
+  /// covered by at most one policy sync. Returns the offset of
   /// the first appended record (end_offset() for an empty batch).
   ///
   /// On failure the durably-appended prefix of the batch stays in the log
@@ -106,9 +106,11 @@ class LogDir {
   /// Records with offset >= `offset`, bounded by max_records/max_bytes
   /// (wire-size accounting; the first record always counts even when it
   /// alone exceeds max_bytes). Non-blocking: returns what is on disk.
-  /// Payload values are zero-copy views into the segment mappings. A
-  /// fetch that reads to the end of a sealed segment drops the segment's
-  /// cached mapping; the returned records keep their region mapped.
+  /// Payload values are zero-copy views into the segment mappings. Every
+  /// batch read is verified whole; a corrupted one fails the fetch
+  /// (INTERNAL) rather than yield a wrong record. A fetch that reads to
+  /// the end of a sealed segment drops the segment's cached mapping; the
+  /// returned records keep their region mapped.
   Result<std::vector<broker::ConsumedRecord>> fetch(
       std::uint64_t offset, std::size_t max_records,
       std::uint64_t max_bytes) const;
@@ -132,10 +134,10 @@ class LogDir {
   /// Discards every record with offset >= `offset` (replication divergence
   /// repair: a deposed leader truncates its un-replicated suffix before
   /// catching up from the new leader). Whole segments past the cut are
-  /// deleted, the boundary segment is truncated at the exact frame, and
-  /// the next append resumes at `offset`. No-op when `offset` is at/past
-  /// the end; fails when `offset` lies below the log start (those records
-  /// were already retained away).
+  /// deleted, the boundary segment is cut exactly at `offset` (also inside
+  /// a batch: Segment::cut_at), and the next append resumes there. No-op
+  /// when `offset` is at/past the end; fails when `offset` lies below the
+  /// log start (those records were already retained away).
   Status truncate_suffix(std::uint64_t offset);
 
   /// Kafka-style whole-segment retention. The oldest segment is dropped
@@ -150,7 +152,7 @@ class LogDir {
                               std::uint64_t min_timestamp_ns);
 
   /// Power-loss simulation: the synced prefix survives, `keep_fraction`
-  /// of the unsynced tail bytes survive (possibly ending mid-frame), the
+  /// of the unsynced tail bytes survive (possibly ending mid-batch), the
   /// rest is gone. The LogDir refuses all writes afterwards; reopen the
   /// directory to recover.
   void simulate_power_loss(double keep_fraction);
@@ -205,7 +207,7 @@ class LogDir {
   /// True while a sync leader is fsyncing with the mutex released.
   bool sync_in_flight_ PE_GUARDED_BY(mutex_) = false;
   std::uint64_t inject_append_failures_ PE_GUARDED_BY(mutex_) = 0;
-  /// append_batch's frame buffer, reused across calls so its capacity
+  /// append_batch's encode buffer, reused across calls so its capacity
   /// never leaves the log.
   Bytes encode_buf_ PE_GUARDED_BY(mutex_);
 };

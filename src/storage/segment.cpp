@@ -8,96 +8,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#include "storage/crc32c.h"
+#include <iterator>
 
 namespace pe::storage {
-
-namespace {
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;  // little-endian hosts only (the repo's supported targets)
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-}  // namespace
-
-void encode_frame(Bytes& out, std::uint64_t offset,
-                  std::uint64_t broker_timestamp_ns,
-                  const broker::Record& record) {
-  const std::uint32_t body_len =
-      kFrameBodyFixedBytes + static_cast<std::uint32_t>(record.key.size()) +
-      static_cast<std::uint32_t>(record.value.size());
-  out.reserve(out.size() + kFrameHeaderBytes + body_len);
-  put_u32(out, body_len);
-  const std::size_t crc_pos = out.size();
-  put_u32(out, 0);  // patched below
-  const std::size_t body_pos = out.size();
-  put_u64(out, offset);
-  put_u64(out, broker_timestamp_ns);
-  put_u64(out, record.client_timestamp_ns);
-  put_u32(out, static_cast<std::uint32_t>(record.key.size()));
-  out.insert(out.end(), record.key.begin(), record.key.end());
-  put_u32(out, static_cast<std::uint32_t>(record.value.size()));
-  out.insert(out.end(), record.value.begin(), record.value.end());
-  const std::uint32_t crc = crc32c(out.data() + body_pos, body_len);
-  std::memcpy(out.data() + crc_pos, &crc, sizeof(crc));
-}
-
-FrameParse parse_frame(const std::uint8_t* p, std::uint64_t avail,
-                       FrameView* out) {
-  if (avail < kFrameHeaderBytes) return FrameParse::kTorn;
-  const std::uint32_t body_len = read_u32(p);
-  if (body_len < kFrameBodyFixedBytes || body_len > kMaxFrameBodyBytes) {
-    return FrameParse::kTorn;
-  }
-  if (avail - kFrameHeaderBytes < body_len) return FrameParse::kTorn;
-  const std::uint32_t want_crc = read_u32(p + 4);
-  const std::uint8_t* body = p + kFrameHeaderBytes;
-  if (crc32c(body, body_len) != want_crc) return FrameParse::kTorn;
-
-  FrameView v;
-  v.offset = read_u64(body);
-  v.broker_timestamp_ns = read_u64(body + 8);
-  v.client_timestamp_ns = read_u64(body + 16);
-  v.key_len = read_u32(body + 24);
-  // Internal length consistency (CRC already vouches for the bytes, but a
-  // frame written by a buggy encoder must not read out of bounds).
-  if (static_cast<std::uint64_t>(v.key_len) + kFrameBodyFixedBytes >
-      body_len) {
-    return FrameParse::kTorn;
-  }
-  v.key = body + 28;
-  v.value_len = read_u32(body + 28 + v.key_len);
-  if (kFrameBodyFixedBytes + static_cast<std::uint64_t>(v.key_len) +
-          v.value_len !=
-      body_len) {
-    return FrameParse::kTorn;
-  }
-  v.value = body + 32 + v.key_len;
-  v.frame_bytes = kFrameHeaderBytes + static_cast<std::uint64_t>(body_len);
-  *out = v;
-  return FrameParse::kOk;
-}
 
 Result<std::shared_ptr<MmapRegion>> MmapRegion::map(const std::string& path,
                                                     std::uint64_t length) {
@@ -132,29 +45,18 @@ Segment::Segment(std::string path, std::uint64_t base_offset)
       base_offset_(base_offset),
       next_offset_(base_offset) {}
 
-void Segment::maybe_index(std::uint64_t offset,
-                          std::uint64_t broker_timestamp_ns,
-                          std::uint64_t file_pos) {
-  if (!index_has_entry_ ||
-      file_pos - last_index_pos_ >= kIndexIntervalBytes) {
-    index_.push_back(IndexEntry{offset, file_pos, broker_timestamp_ns});
-    last_index_pos_ = file_pos;
-    index_has_entry_ = true;
+void Segment::note_append(const BatchHeader& batch, std::uint64_t file_pos) {
+  if (index_.empty() ||
+      file_pos - index_.back().file_pos >= kIndexIntervalBytes) {
+    index_.push_back(
+        IndexEntry{batch.base_offset, file_pos, batch.first_timestamp_ns});
   }
+  last_timestamp_ns_ = batch.max_timestamp_ns;
+  next_offset_ = batch.end_offset();
+  bytes_ = file_pos + batch.bytes;
 }
 
-void Segment::note_append(std::uint64_t offset,
-                          std::uint64_t broker_timestamp_ns,
-                          std::uint64_t file_pos,
-                          std::uint64_t frame_bytes) {
-  maybe_index(offset, broker_timestamp_ns, file_pos);
-  if (next_offset_ == base_offset_) first_timestamp_ns_ = broker_timestamp_ns;
-  last_timestamp_ns_ = broker_timestamp_ns;
-  next_offset_ = offset + 1;
-  bytes_ = file_pos + frame_bytes;
-}
-
-Result<Segment::ScanResult> Segment::scan() {
+Result<std::uint64_t> Segment::scan() {
   struct ::stat st {};
   if (::stat(path_.c_str(), &st) != 0) {
     return Status::Internal("stat '" + path_ + "': " + std::strerror(errno));
@@ -162,41 +64,29 @@ Result<Segment::ScanResult> Segment::scan() {
   const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
 
   index_.clear();
-  index_has_entry_ = false;
-  last_index_pos_ = 0;
   next_offset_ = base_offset_;
   bytes_ = 0;
-  first_timestamp_ns_ = 0;
   last_timestamp_ns_ = 0;
   map_.reset();
-
-  ScanResult result;
-  if (file_bytes == 0) return result;
 
   auto mapped = MmapRegion::map(path_, file_bytes);
   if (!mapped.ok()) return mapped.status();
   const std::uint8_t* data = mapped.value()->data();
 
   std::uint64_t pos = 0;
-  std::uint64_t expect = base_offset_;
   while (pos < file_bytes) {
-    FrameView frame;
-    if (parse_frame(data + pos, file_bytes - pos, &frame) !=
-        FrameParse::kOk) {
-      break;  // torn tail: valid data ends at `pos`
+    BatchReader batch;
+    // A torn batch, or a recycled file's stale one (density violated):
+    // valid data ends at `pos`.
+    if (!batch.open(data + pos, file_bytes - pos).ok() ||
+        batch.header().base_offset != next_offset_) {
+      break;
     }
-    // Density violated: a torn tail, or a recycled file's stale frames.
-    if (frame.offset != expect) break;
-    note_append(frame.offset, frame.broker_timestamp_ns, pos,
-                frame.frame_bytes);
-    pos += frame.frame_bytes;
-    expect = frame.offset + 1;
+    note_append(batch.header(), pos);
+    pos += batch.header().bytes;
   }
 
-  result.valid_bytes = pos;
-  result.next_offset = next_offset_;
-  result.torn_bytes = file_bytes - pos;
-  return result;
+  return file_bytes - pos;
 }
 
 Result<std::shared_ptr<MmapRegion>> Segment::mapping() const {
@@ -216,6 +106,34 @@ bool Segment::has_live_mapping() const {
                      [](const auto& region) { return !region.expired(); });
 }
 
+template <typename Stop>
+Result<std::uint64_t> Segment::hop(std::uint64_t pos, Stop stop) const {
+  auto mapped = mapping();
+  if (!mapped.ok()) return mapped.status();
+  const MmapRegion& region = *mapped.value();
+  for (BatchHeader header;; pos += header.bytes) {
+    if (pos >= bytes_ ||
+        !peek_batch(region.data() + pos, bytes_ - pos, &header)) {
+      return Status::Internal("segment '" + path_ +
+                              "' index walk hit an invalid batch at byte " +
+                              std::to_string(pos));
+    }
+    if (stop(header)) return pos;
+  }
+}
+
+Status Segment::read_batch(std::uint64_t pos, BatchReader* batch) const {
+  auto mapped = mapping();
+  if (!mapped.ok()) return mapped.status();
+  const std::shared_ptr<MmapRegion>& region = mapped.value();
+  const std::uint64_t avail = pos < bytes_ ? bytes_ - pos : 0;
+  if (auto s = batch->open(region->data() + pos, avail, region); !s.ok()) {
+    return Status::Internal("segment '" + path_ + "' byte " +
+                            std::to_string(pos) + ": " + s.message());
+  }
+  return Status::Ok();
+}
+
 Result<std::uint64_t> Segment::position_of(std::uint64_t offset) const {
   if (offset < base_offset_ || offset >= next_offset_) {
     return Status::OutOfRange("offset " + std::to_string(offset) +
@@ -223,37 +141,14 @@ Result<std::uint64_t> Segment::position_of(std::uint64_t offset) const {
                               std::to_string(base_offset_) + "," +
                               std::to_string(next_offset_) + ")");
   }
-  // Nearest index entry at or before `offset` (entries are offset-sorted).
-  std::size_t lo = 0, hi = index_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (index_[mid].offset <= offset) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  // lo = first entry with offset > target; entry lo-1 is the floor. The
-  // first index entry is always the segment base, so lo >= 1 here.
-  std::uint64_t pos = index_[lo - 1].file_pos;
-  std::uint64_t at = index_[lo - 1].offset;
-
-  auto mapped = mapping();
-  if (!mapped.ok()) return mapped.status();
-  const auto& region = *mapped.value();
-  while (at < offset) {
-    FrameView frame;
-    if (pos >= region.size() ||
-        parse_frame(region.data() + pos, region.size() - pos, &frame) !=
-            FrameParse::kOk) {
-      return Status::Internal("segment '" + path_ +
-                              "' index walk hit invalid frame at byte " +
-                              std::to_string(pos));
-    }
-    pos += frame.frame_bytes;
-    ++at;
-  }
-  return pos;
+  // Last index entry at or before `offset` (entries are offset-sorted;
+  // the first is always the segment base).
+  const auto floor = std::upper_bound(
+      index_.begin(), index_.end(), offset,
+      [](std::uint64_t o, const IndexEntry& e) { return o < e.offset; });
+  return hop(std::prev(floor)->file_pos, [offset](const BatchHeader& h) {
+    return offset < h.end_offset();
+  });
 }
 
 Result<std::uint64_t> Segment::offset_for_timestamp(
@@ -261,40 +156,55 @@ Result<std::uint64_t> Segment::offset_for_timestamp(
   if (record_count() == 0 || last_timestamp_ns_ < ts_ns) {
     return next_offset_;
   }
-  // Index entries are timestamp-monotone (append order): binary search to
-  // the last entry strictly older than ts, then walk frames.
-  std::size_t lo = 0, hi = index_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (index_[mid].broker_timestamp_ns < ts_ns) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  // Index entries are timestamp-monotone (append order): start from the
+  // last entry whose batch begins strictly older than ts_ns; the batch
+  // after it begins at or past ts_ns.
+  const auto after = std::partition_point(
+      index_.begin(), index_.end(),
+      [ts_ns](const IndexEntry& e) { return e.broker_timestamp_ns < ts_ns; });
+  const IndexEntry& from = after == index_.begin() ? *after : *(after - 1);
+  auto pos = hop(from.file_pos, [ts_ns](const BatchHeader& h) {
+    return h.max_timestamp_ns >= ts_ns;
+  });
+  if (!pos.ok()) return pos.status();
+  BatchReader batch;
+  if (auto s = read_batch(pos.value(), &batch); !s.ok()) return s;
+  // The batch's max timestamp reaches ts_ns, so some record does.
+  broker::ConsumedRecord record;
+  while (batch.next(&record) && record.broker_timestamp_ns < ts_ns) {
   }
-  // Entry lo (if any) already satisfies ts >= ts_ns; the answer is between
-  // entry lo-1 and entry lo. Walk from the floor entry.
-  std::uint64_t pos = lo == 0 ? index_.front().file_pos
-                              : index_[lo - 1].file_pos;
-  std::uint64_t at = lo == 0 ? index_.front().offset : index_[lo - 1].offset;
+  return record.offset;
+}
 
-  auto mapped = mapping();
-  if (!mapped.ok()) return mapped.status();
-  const auto& region = *mapped.value();
-  while (at < next_offset_) {
-    FrameView frame;
-    if (pos >= region.size() ||
-        parse_frame(region.data() + pos, region.size() - pos, &frame) !=
-            FrameParse::kOk) {
-      return Status::Internal("segment '" + path_ +
-                              "' timestamp walk hit invalid frame at byte " +
-                              std::to_string(pos));
+Status Segment::cut_at(std::uint64_t offset) {
+  auto pos = position_of(offset);
+  if (!pos.ok()) return pos.status();
+  BatchReader batch;
+  if (auto s = read_batch(pos.value(), &batch); !s.ok()) return s;
+  Bytes kept;
+  if (batch.header().base_offset < offset) {
+    BatchBuilder builder(kept, batch.header().base_offset);
+    broker::ConsumedRecord record;
+    while (batch.next(&record) && record.offset < offset) {
+      builder.add(record.record, record.broker_timestamp_ns);
     }
-    if (frame.broker_timestamp_ns >= ts_ns) return at;
-    pos += frame.frame_bytes;
-    ++at;
+    builder.finish();
   }
-  return next_offset_;
+  // The kept batch is written before the cut: a crash between the two
+  // leaves it followed by a torn tail, which recovery drops.
+  const int fd = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
+  const auto at = static_cast<off_t>(pos.value());
+  const bool ok =
+      fd >= 0 &&
+      ::pwrite(fd, kept.data(), kept.size(), at) ==
+          static_cast<ssize_t>(kept.size()) &&
+      ::ftruncate(fd, at + static_cast<off_t>(kept.size())) == 0;
+  const int err = errno;
+  if (fd >= 0) ::close(fd);
+  if (!ok) {
+    return Status::Internal("cut '" + path_ + "': " + std::strerror(err));
+  }
+  return scan().status();
 }
 
 std::string segment_file_name(std::uint64_t base_offset) {

@@ -71,8 +71,8 @@ Status SegmentWriter::write_all(const std::uint8_t* data, std::size_t size) {
 }
 
 void SegmentWriter::restore_tail() {
-  // A failed write may have landed a partial frame past the last valid
-  // one; the segment metadata still ends at the last full frame, so cut
+  // A failed write may have landed a partial batch past the last valid
+  // one; the segment metadata still ends at the last full batch, so cut
   // the file back there. Without this the *next* append would write after
   // the garbage and permanently desynchronize file and metadata.
   if (::ftruncate(fd_, static_cast<off_t>(segment_->bytes())) == 0 &&
@@ -89,19 +89,15 @@ void SegmentWriter::restore_tail() {
 }
 
 Status SegmentWriter::append_encoded(const Bytes& buf,
-                                     const std::vector<FrameMeta>& frames) {
+                                     const BatchHeader& batch) {
   if (fd_ < 0) return Status::FailedPrecondition("segment writer closed");
-  if (frames.empty()) return Status::Ok();
-  const std::uint64_t base = segment_->bytes();
+  const std::uint64_t pos = segment_->bytes();
   if (auto s = write_all(buf.data(), buf.size()); !s.ok()) {
     restore_tail();
     return s;
   }
-  for (const FrameMeta& f : frames) {
-    segment_->note_append(f.offset, f.broker_timestamp_ns,
-                          base + f.buf_pos, f.frame_bytes);
-  }
-  appended_records_ += frames.size();
+  segment_->note_append(batch, pos);
+  appended_records_ += batch.count;
   return Status::Ok();
 }
 
@@ -179,7 +175,7 @@ Status SegmentWriter::truncate_unsynced(double keep_fraction) {
 Status SegmentWriter::seal() {
   if (fd_ < 0) return Status::FailedPrecondition("segment writer closed");
   if (!stale_tail_) return sync();
-  // Recycled file: the older segment's frames past the valid bytes would
+  // Recycled file: the older segment's batches past the valid bytes would
   // read as a torn tail in the middle of the log. The sync below makes
   // the shorter length durable along with the data.
   if (::ftruncate(fd_, static_cast<off_t>(segment_->bytes())) != 0) {

@@ -1,4 +1,4 @@
-// Append side of the active segment: writes frames LogDir encoded onto the
+// Append side of the active segment: writes batches LogDir encoded onto the
 // file with immediate write() (so readers can always map appended data)
 // and applies the configured fsync policy. One SegmentWriter exists per
 // LogDir at a time; LogDir serializes all calls under its own mutex —
@@ -10,23 +10,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "storage/segment.h"
 
 namespace pe::storage {
-
-/// Placement of one encoded frame inside a batch write buffer, so a
-/// batched append can run one write() and then replay the per-record
-/// segment bookkeeping.
-struct FrameMeta {
-  std::uint64_t offset = 0;
-  std::uint64_t broker_timestamp_ns = 0;
-  /// Byte position of the frame within the batch buffer.
-  std::uint64_t buf_pos = 0;
-  std::uint64_t frame_bytes = 0;
-};
 
 class SegmentWriter {
  public:
@@ -47,9 +35,9 @@ class SegmentWriter {
   static Result<std::unique_ptr<SegmentWriter>> open(Segment* segment);
 
   /// Opens a recycled file, already renamed to the empty `segment`'s name,
-  /// without truncating it: appends overwrite the older segment's frames
+  /// without truncating it: appends overwrite the older segment's batches
   /// from byte 0, on pages the file already holds. Recovery rejects the
-  /// stale frames past the valid bytes by their offsets (Segment::scan).
+  /// stale batches past the valid bytes by their offsets (Segment::scan).
   static Result<std::unique_ptr<SegmentWriter>> open_recycled(
       Segment* segment);
 
@@ -58,15 +46,12 @@ class SegmentWriter {
   SegmentWriter(const SegmentWriter&) = delete;
   SegmentWriter& operator=(const SegmentWriter&) = delete;
 
-  /// The one write: `buf` holds `frames.size()` pre-encoded frames laid
-  /// out per `frames`. One write() call, then the per-frame bookkeeping.
-  /// The bytes reach the OS before this returns; they reach stable storage
-  /// per the LogDir flush policy. On a failed or short write the file is
-  /// restored to the last valid frame boundary, so either every frame in
-  /// the buffer is on file or none are, and the segment never carries a
-  /// partial frame ahead of its metadata.
-  Status append_encoded(const Bytes& buf,
-                        const std::vector<FrameMeta>& frames);
+  /// The one write: `buf` holds one encoded batch, described by `batch`,
+  /// written with one write() call. The bytes reach the OS before this
+  /// returns and stable storage per the LogDir flush policy. A failed or
+  /// short write restores the file to the last batch boundary: the batch
+  /// is wholly on file or not at all, never ahead of the metadata.
+  Status append_encoded(const Bytes& buf, const BatchHeader& batch);
 
   /// fsync. Records the latency in the "storage.fsync_us" histogram,
   /// bumps "storage.fsyncs", and advances the synced marks. Composes
@@ -94,7 +79,7 @@ class SegmentWriter {
   }
 
   /// Power-loss simulation: keeps the synced prefix plus `keep_fraction`
-  /// of the unsynced tail bytes (possibly cutting a frame in half — that
+  /// of the unsynced tail bytes (possibly cutting a batch in half — that
   /// is the point), truncates the file there, and closes WITHOUT syncing.
   /// The writer is unusable afterwards.
   Status truncate_unsynced(double keep_fraction);
@@ -113,14 +98,14 @@ class SegmentWriter {
   Status write_all(const std::uint8_t* data, std::size_t size);
   /// After a failed/short write: cut the file back to the segment's valid
   /// byte count and reposition at the end, so the next append starts at a
-  /// frame boundary. Poisons the writer (closes the fd) when even the
+  /// batch boundary. Poisons the writer (closes the fd) when even the
   /// restore fails — appends after that fail loudly instead of
   /// interleaving garbage.
   void restore_tail();
 
   Segment* segment_;
   int fd_ = -1;
-  /// True while a recycled file may still hold older frames past the
+  /// True while a recycled file may still hold older batches past the
   /// valid bytes (until seal() or restore_tail() cuts them).
   bool stale_tail_ = false;
   std::uint64_t synced_bytes_ = 0;

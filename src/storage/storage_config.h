@@ -41,7 +41,7 @@ struct RecoveryReport {
   std::size_t segments_scanned = 0;
   std::uint64_t records_recovered = 0;
   std::uint64_t bytes_recovered = 0;
-  /// Bytes cut off the torn tail (partial/corrupt trailing frames).
+  /// Bytes cut off the torn tail (partial/corrupt trailing batches).
   std::uint64_t torn_bytes_truncated = 0;
   /// Segments deleted because they were unreadable or discontiguous.
   std::size_t segments_deleted = 0;

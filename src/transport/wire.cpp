@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 
+#include "storage/record_batch.h"
+
 namespace pe::transport {
 namespace {
 
@@ -97,6 +99,18 @@ struct JsonCursor {
     return Status::Ok();
   }
 };
+
+/// Full read of the batch that makes up the rest of a 'B' payload from
+/// byte `at` on; its values are views of the payload.
+Status open_batch(const broker::Payload& payload, std::size_t at,
+                  storage::BatchReader* batch) {
+  Status s = batch->open(payload.data() + at, payload.size() - at,
+                         payload.shared());
+  if (s.ok() && batch->header().bytes != payload.size() - at) {
+    s = Status::InvalidArgument("trailing bytes after the record batch");
+  }
+  return s;
+}
 
 }  // namespace
 
@@ -215,85 +229,67 @@ Status status_from_reply(const ControlMap& reply) {
 }
 
 Bytes encode_produce_batch(const ProduceBatch& batch) {
+  std::size_t bytes = 12 + batch.topic.size() + batch.client_id.size() +
+                      storage::kBatchHeaderBytes;
+  for (const auto& r : batch.records) bytes += storage::batch_record_bytes(r);
   Bytes out;
-  out.reserve(64 + batch.records.size() * 32);
+  out.reserve(bytes);
   ByteWriter w(out);
   w.put_string(batch.topic);
   w.put_u32(batch.partition);
   w.put_string(batch.client_id);
-  w.put_u32(static_cast<std::uint32_t>(batch.records.size()));
-  for (const auto& rec : batch.records) {
-    w.put_string(rec.key);
-    w.put_u64(rec.client_timestamp_ns);
-    w.put_u32(static_cast<std::uint32_t>(rec.value.size()));
-    out.insert(out.end(), rec.value.begin(), rec.value.end());
-  }
+  storage::BatchBuilder records(out, 0);
+  for (const auto& record : batch.records) records.add(record, 0);
+  records.finish();
   return out;
 }
 
-Status decode_produce_batch(ByteSpan payload, ProduceBatch* out) {
-  ByteReader r(payload);
+Status decode_produce_batch(const broker::Payload& payload,
+                            ProduceBatch* out) {
+  ByteReader r(payload.span());
   if (auto s = r.get_string(out->topic); !s.ok()) return s;
   if (auto s = r.get_u32(out->partition); !s.ok()) return s;
   if (auto s = r.get_string(out->client_id); !s.ok()) return s;
-  std::uint32_t count = 0;
-  if (auto s = r.get_u32(count); !s.ok()) return s;
+  storage::BatchReader batch;
+  if (auto s = open_batch(payload, r.position(), &batch); !s.ok()) return s;
   out->records.clear();
-  out->records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    broker::Record rec;
-    if (auto s = r.get_string(rec.key); !s.ok()) return s;
-    if (auto s = r.get_u64(rec.client_timestamp_ns); !s.ok()) return s;
-    Bytes value;
-    if (auto s = r.get_bytes(value); !s.ok()) return s;
-    rec.value = broker::Payload(std::move(value));
-    out->records.push_back(std::move(rec));
-  }
+  out->records.reserve(batch.header().count);
+  broker::ConsumedRecord cr;
+  while (batch.next(&cr)) out->records.push_back(std::move(cr.record));
   return Status::Ok();
 }
 
 Bytes encode_fetch_batch(const std::string& topic, std::uint32_t partition,
                          const std::vector<broker::ConsumedRecord>& records) {
+  std::size_t bytes = 8 + topic.size() + storage::kBatchHeaderBytes;
+  for (const auto& r : records) bytes += storage::batch_record_bytes(r.record);
   Bytes out;
-  out.reserve(64 + records.size() * 48);
+  out.reserve(bytes);
   ByteWriter w(out);
   w.put_string(topic);
   w.put_u32(partition);
-  w.put_u32(static_cast<std::uint32_t>(records.size()));
-  for (const auto& cr : records) {
-    w.put_u64(cr.offset);
-    w.put_u64(cr.broker_timestamp_ns);
-    w.put_string(cr.record.key);
-    w.put_u64(cr.record.client_timestamp_ns);
-    w.put_u32(static_cast<std::uint32_t>(cr.record.value.size()));
-    out.insert(out.end(), cr.record.value.begin(), cr.record.value.end());
-  }
+  storage::BatchBuilder batch(out,
+                              records.empty() ? 0 : records.front().offset);
+  for (const auto& cr : records) batch.add(cr.record, cr.broker_timestamp_ns);
+  batch.finish();
   return out;
 }
 
-Status decode_fetch_batch(ByteSpan payload,
+Status decode_fetch_batch(const broker::Payload& payload,
                           std::vector<broker::ConsumedRecord>* out) {
-  ByteReader r(payload);
+  ByteReader r(payload.span());
   std::string topic;
   std::uint32_t partition = 0;
   if (auto s = r.get_string(topic); !s.ok()) return s;
   if (auto s = r.get_u32(partition); !s.ok()) return s;
-  std::uint32_t count = 0;
-  if (auto s = r.get_u32(count); !s.ok()) return s;
+  storage::BatchReader batch;
+  if (auto s = open_batch(payload, r.position(), &batch); !s.ok()) return s;
   out->clear();
-  out->reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    broker::ConsumedRecord cr;
+  out->resize(batch.header().count);
+  for (auto& cr : *out) {
     cr.topic = topic;
     cr.partition = partition;
-    if (auto s = r.get_u64(cr.offset); !s.ok()) return s;
-    if (auto s = r.get_u64(cr.broker_timestamp_ns); !s.ok()) return s;
-    if (auto s = r.get_string(cr.record.key); !s.ok()) return s;
-    if (auto s = r.get_u64(cr.record.client_timestamp_ns); !s.ok()) return s;
-    Bytes value;
-    if (auto s = r.get_bytes(value); !s.ok()) return s;
-    cr.record.value = broker::Payload(std::move(value));
-    out->push_back(std::move(cr));
+    batch.next(&cr);
   }
   return Status::Ok();
 }

@@ -8,7 +8,7 @@
 // following the universal-framing table (DESIGN.md §12):
 //
 //   'C' (0x43)  control — flat JSON object ({"op":"register", ...})
-//   'B' (0x42)  binary data — record batches (ByteWriter encoding below)
+//   'B' (0x42)  binary data — an envelope plus one record batch (below)
 //   'H' (0x48)  heartbeat — payload is the channel name
 //
 // Unknown type bytes are logged and dropped by receivers, so new types
@@ -67,11 +67,12 @@ void status_to_reply(const Status& status, ControlMap* reply);
 /// no "error" key. Throttle replies round-trip their retry-after hint.
 Status status_from_reply(const ControlMap& reply);
 
-// --- record batch codec ('B' frames) ---
+// --- 'B' frames: an envelope, then one record batch ---
+// The batch is the segment-file format (storage/record_batch.h), validated
+// whole on decode; decoded values are views of the received payload.
 
 /// Produce request payload:
-///   string topic | u32 partition | string client_id | u32 count |
-///   per record: string key | u64 client_ts_ns | bytes value
+///   string topic | u32 partition | string client_id | batch
 struct ProduceBatch {
   std::string topic;
   std::uint32_t partition = 0;
@@ -80,15 +81,14 @@ struct ProduceBatch {
 };
 
 Bytes encode_produce_batch(const ProduceBatch& batch);
-Status decode_produce_batch(ByteSpan payload, ProduceBatch* out);
+Status decode_produce_batch(const broker::Payload& payload, ProduceBatch* out);
 
 /// Fetch reply payload:
-///   string topic | u32 partition | u32 count |
-///   per record: u64 offset | u64 broker_ts_ns | string key |
-///               u64 client_ts_ns | bytes value
+///   string topic | u32 partition | batch
+/// `records` are a fetch result: consecutive offsets of one partition.
 Bytes encode_fetch_batch(const std::string& topic, std::uint32_t partition,
                          const std::vector<broker::ConsumedRecord>& records);
-Status decode_fetch_batch(ByteSpan payload,
+Status decode_fetch_batch(const broker::Payload& payload,
                           std::vector<broker::ConsumedRecord>* out);
 
 }  // namespace pe::transport

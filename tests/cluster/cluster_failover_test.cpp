@@ -312,7 +312,7 @@ TEST_F(ClusterFailoverTest, FollowerCatchUpFromRecoveredSegments) {
   }
 
   // Power-cut the whole quorum: the leader loses most of its unsynced
-  // tail (torn frame for recovery to truncate), the caught-up follower
+  // tail (torn batch for recovery to truncate), the caught-up follower
   // keeps its full log on disk.
   ASSERT_TRUE(cluster->kill_broker(leader).ok());
   ASSERT_TRUE(cluster->kill_broker(followers[0]).ok());
@@ -353,9 +353,14 @@ TEST_F(ClusterFailoverTest, FollowerCatchUpFromRecoveredSegments) {
 
 // A deposed leader holding acks=leader records the quorum never saw must
 // truncate them before rejoining: the post-failover log wins, and the
-// casualties never reappear on any replica.
-TEST_F(ClusterFailoverTest, DeposedLeaderTruncatesDivergentSuffix) {
-  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+// casualties never reappear on any replica. The orphans arrive as
+// `orphan_batch`-record produces; the followers hold the first
+// `replicated_prefix` of them (fetched before the cut), so the new epoch
+// starts at 20 + replicated_prefix.
+void expect_divergent_suffix_truncated(const ClusterOptions& options,
+                                       int orphan_batch,
+                                       int replicated_prefix) {
+  auto cluster = std::make_shared<BrokerCluster>(options);
   ASSERT_TRUE(cluster->create_topic("div").ok());
   auto meta = cluster->metadata("div", 0);
   ASSERT_TRUE(meta.ok());
@@ -379,16 +384,31 @@ TEST_F(ClusterFailoverTest, DeposedLeaderTruncatesDivergentSuffix) {
   for (BrokerId f : followers) {
     ASSERT_TRUE(cluster->set_broker_isolated(f, true).ok());
   }
-  for (int i = 0; i < 5; ++i) {
-    auto orphaned = cluster->produce(leader, "div", 0,
-                                     {make_record("lost-" + std::to_string(i))},
+  for (int i = 0; i < 5; i += orphan_batch) {
+    std::vector<broker::Record> orphans;
+    for (int j = i; j < i + orphan_batch; ++j) {
+      orphans.push_back(make_record("lost-" + std::to_string(j)));
+    }
+    auto orphaned = cluster->produce(leader, "div", 0, std::move(orphans),
                                      AckPolicy::kLeader);
     ASSERT_TRUE(orphaned.ok());
   }
   EXPECT_EQ(cluster->broker(leader)->end_offset("div", 0).value(), 25u);
+  if (replicated_prefix > 0) {
+    broker::FetchSpec spec;
+    spec.offset = 20;
+    spec.max_records = static_cast<std::size_t>(replicated_prefix);
+    auto prefix = cluster->broker(leader)->fetch("div", 0, spec);
+    ASSERT_TRUE(prefix.ok());
+    for (BrokerId f : followers) {
+      ASSERT_TRUE(cluster->broker(f)->replicate("div", 0, prefix.value()).ok());
+    }
+  }
+  const std::uint64_t quorum_end =
+      20 + static_cast<std::uint64_t>(replicated_prefix);
 
-  // The leader dies; the healed followers elect among themselves at
-  // offset 20 and the log moves on without the orphans.
+  // The leader dies; the healed followers elect among themselves at the
+  // quorum end and the log moves on without the orphans.
   ASSERT_TRUE(cluster->kill_broker(leader).ok());
   for (BrokerId f : followers) {
     ASSERT_TRUE(cluster->set_broker_isolated(f, false).ok());
@@ -406,7 +426,8 @@ TEST_F(ClusterFailoverTest, DeposedLeaderTruncatesDivergentSuffix) {
   produced = cluster->produce(new_leader.value(), "div", 0, std::move(fresh),
                               AckPolicy::kQuorum);
   ASSERT_TRUE(produced.ok()) << produced.status().to_string();
-  EXPECT_EQ(produced.value(), 20u) << "new epoch must start at the quorum end";
+  EXPECT_EQ(produced.value(), quorum_end)
+      << "new epoch must start at the quorum end";
 
   // The deposed leader rejoins: its divergent suffix is truncated and
   // replaced by the new epoch's records.
@@ -418,16 +439,38 @@ TEST_F(ClusterFailoverTest, DeposedLeaderTruncatesDivergentSuffix) {
   for (BrokerId r : meta.value().replicas) {
     auto fetched = cluster->broker(r)->fetch("div", 0, spec);
     ASSERT_TRUE(fetched.ok()) << fetched.status().to_string();
-    ASSERT_EQ(fetched.value().size(), 30u) << "replica " << r;
+    ASSERT_EQ(fetched.value().size(), quorum_end + 10) << "replica " << r;
     for (std::size_t i = 0; i < 20; ++i) {
       EXPECT_EQ(fetched.value()[i].record.key, "base-" + std::to_string(i));
     }
-    for (std::size_t i = 20; i < 30; ++i) {
+    for (std::size_t i = 20; i < quorum_end; ++i) {
       EXPECT_EQ(fetched.value()[i].record.key,
-                "new-" + std::to_string(i - 20))
+                "lost-" + std::to_string(i - 20))
+          << "replica " << r;
+    }
+    for (std::size_t i = quorum_end; i < quorum_end + 10; ++i) {
+      EXPECT_EQ(fetched.value()[i].record.key,
+                "new-" + std::to_string(i - quorum_end))
           << "replica " << r;
     }
   }
+}
+
+TEST_F(ClusterFailoverTest, DeposedLeaderTruncatesDivergentSuffix) {
+  expect_divergent_suffix_truncated(fast_options(), /*orphan_batch=*/1,
+                                    /*replicated_prefix=*/0);
+}
+
+// Durable replicas, and the orphans are one 5-record batch on the
+// deposed leader's disk whose first two records the followers hold: the
+// cut lands inside that batch, and the deposed leader's log must end
+// exactly there before it catches up.
+TEST_F(ClusterFailoverTest, DeposedLeaderCutsInsideItsOrphanBatch) {
+  ClusterOptions options = fast_options();
+  options.durable_root = dir_;
+  options.storage.flush_policy = storage::FlushPolicy::kEverySync;
+  expect_divergent_suffix_truncated(options, /*orphan_batch=*/5,
+                                    /*replicated_prefix=*/2);
 }
 
 // A dead deposed leader whose divergent suffix reaches past the produce

@@ -169,7 +169,7 @@ TEST_F(LogDirTest, PowerLossTruncatesTornTailOnRecovery) {
     }
     ASSERT_TRUE(log->sync().ok());  // first 4 are now power-loss durable
     for (int i = 4; i < 8; ++i) {
-      // Varying sizes keep the cut below off any frame boundary.
+      // Varying sizes keep the cut below off any batch boundary.
       ASSERT_TRUE(log->append(make_record("dirty" + std::to_string(i),
                                           30 + static_cast<std::size_t>(i) *
                                                    7),
@@ -177,7 +177,7 @@ TEST_F(LogDirTest, PowerLossTruncatesTornTailOnRecovery) {
                       .ok());
     }
     // The cut keeps half of the unsynced tail bytes: some dirty records
-    // survive whole, the one at the cut is torn mid-frame.
+    // survive whole, the one at the cut is torn mid-batch.
     log->simulate_power_loss(0.5);
     // A crashed log refuses writes.
     EXPECT_FALSE(log->append(make_record("late", 8), 9).ok());
@@ -442,10 +442,148 @@ TEST_F(LogDirTest, AppendBatchRollsSegmentsMidBatch) {
   }
 }
 
+// --- multi-record batches: reads and cuts inside a batch ---
+
+/// Appends records at offsets [first, first + n) as one append_batch call,
+/// which stores them as one batch. Offset o holds key "r<o>", a value of
+/// 10 + o bytes filled with o, and broker timestamp 100 + 10 * o.
+void append_one_batch(LogDir& log, int first, int n) {
+  std::vector<broker::Record> records;
+  std::vector<TimestampedRecord> batch;
+  for (int o = first; o < first + n; ++o) {
+    records.push_back(make_record("r" + std::to_string(o),
+                                  10 + static_cast<std::size_t>(o),
+                                  static_cast<std::uint8_t>(o)));
+  }
+  for (int j = 0; j < n; ++j) {
+    batch.push_back({&records[static_cast<std::size_t>(j)],
+                     100 + 10 * static_cast<std::uint64_t>(first + j)});
+  }
+  auto appended = log.append_batch(batch);
+  ASSERT_TRUE(appended.ok()) << appended.status().to_string();
+  ASSERT_EQ(appended.value(), static_cast<std::uint64_t>(first));
+}
+
+void expect_record_at(const broker::ConsumedRecord& r, std::uint64_t offset) {
+  EXPECT_EQ(r.offset, offset);
+  EXPECT_EQ(r.record.key, "r" + std::to_string(offset));
+  EXPECT_EQ(r.broker_timestamp_ns, 100 + 10 * offset);
+  ASSERT_EQ(r.record.value.size(), 10 + offset);
+  EXPECT_EQ(r.record.value[0], static_cast<std::uint8_t>(offset));
+}
+
+TEST_F(LogDirTest, FetchFromEveryOffsetInsideABatch) {
+  auto log = open();
+  append_one_batch(*log, 0, 7);
+  append_one_batch(*log, 7, 5);
+  for (std::uint64_t from = 0; from < 12; ++from) {
+    auto all = log->fetch(from, 100, kNoByteLimit);
+    ASSERT_TRUE(all.ok()) << all.status().to_string();
+    ASSERT_EQ(all.value().size(), 12 - from) << "from " << from;
+    for (std::size_t i = 0; i < all.value().size(); ++i) {
+      expect_record_at(all.value()[i], from + i);
+    }
+    // A fetch that also ends inside a batch.
+    auto two = log->fetch(from, 2, kNoByteLimit);
+    ASSERT_TRUE(two.ok());
+    ASSERT_EQ(two.value().size(), std::min<std::uint64_t>(2, 12 - from));
+    expect_record_at(two.value()[0], from);
+  }
+}
+
+TEST_F(LogDirTest, OffsetForTimestampInsideABatch) {
+  auto log = open();
+  append_one_batch(*log, 0, 6);  // timestamps 100 .. 150
+  append_one_batch(*log, 6, 6);  // timestamps 160 .. 210
+  EXPECT_EQ(log->offset_for_timestamp(100), 0u);
+  EXPECT_EQ(log->offset_for_timestamp(101), 1u);
+  EXPECT_EQ(log->offset_for_timestamp(125), 3u);
+  EXPECT_EQ(log->offset_for_timestamp(150), 5u);
+  EXPECT_EQ(log->offset_for_timestamp(151), 6u);
+  EXPECT_EQ(log->offset_for_timestamp(185), 9u);
+  EXPECT_EQ(log->offset_for_timestamp(211), 12u);
+}
+
+TEST_F(LogDirTest, TruncateInsideABatchEndsAtTheCut) {
+  {
+    auto log = open();
+    append_one_batch(*log, 0, 5);
+    append_one_batch(*log, 5, 7);  // [5, 12): the cut lands inside it
+    ASSERT_TRUE(log->truncate_suffix(8).ok());
+    EXPECT_EQ(log->end_offset(), 8u);
+    auto kept = log->fetch(0, 100, kNoByteLimit);
+    ASSERT_TRUE(kept.ok());
+    ASSERT_EQ(kept.value().size(), 8u);
+    for (std::uint64_t o = 0; o < 8; ++o) expect_record_at(kept.value()[o], o);
+    EXPECT_EQ(log->offset_for_timestamp(175), 8u);
+  }
+  RecoveryReport report;
+  auto log = open({}, &report);
+  EXPECT_EQ(report.torn_bytes_truncated, 0u);
+  EXPECT_EQ(log->end_offset(), 8u);
+  auto kept = log->fetch(5, 100, kNoByteLimit);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_EQ(kept.value().size(), 3u);
+  for (std::uint64_t o = 5; o < 8; ++o) {
+    expect_record_at(kept.value()[o - 5], o);
+  }
+  auto next = log->append(make_record("after-cut", 8), 999);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value(), 8u);
+  auto after = log->fetch(7, 100, kNoByteLimit);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after.value().size(), 2u);
+  EXPECT_EQ(after.value()[1].record.key, "after-cut");
+}
+
+TEST_F(LogDirTest, CorruptedBatchFailsFetchAndRecoveryCutsThere) {
+  std::uint64_t second_start = 0, second_end = 0, total_bytes = 0;
+  {
+    auto log = open();
+    append_one_batch(*log, 0, 4);
+    second_start = log->byte_size();
+    append_one_batch(*log, 4, 4);
+    second_end = log->byte_size();
+    append_one_batch(*log, 8, 4);
+    total_bytes = log->byte_size();
+    // Flip one byte inside the second batch's records, under the open log.
+    std::fstream file(fs::path(dir_) / segment_file_name(0),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    const auto at =
+        static_cast<std::streamoff>((second_start + second_end) / 2);
+    char byte = 0;
+    file.seekg(at);
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    file.seekp(at);
+    file.write(&byte, 1);
+    file.close();
+    // Every fetch that reaches the batch fails; none yields a record of it.
+    for (std::uint64_t from = 0; from < 8; ++from) {
+      auto fetched = log->fetch(from, 100, kNoByteLimit);
+      EXPECT_FALSE(fetched.ok()) << "fetch from " << from;
+      EXPECT_EQ(fetched.status().code(), StatusCode::kInternal);
+    }
+    auto first = log->fetch(0, 4, kNoByteLimit);  // stops before it
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.value().size(), 4u);
+  }
+  RecoveryReport report;
+  auto log = open({}, &report);
+  EXPECT_EQ(log->end_offset(), 4u);
+  EXPECT_EQ(log->byte_size(), second_start);
+  // The corrupted batch and the valid one behind it are both gone.
+  EXPECT_EQ(report.torn_bytes_truncated, total_bytes - second_start);
+  auto fetched = log->fetch(0, 100, kNoByteLimit);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_EQ(fetched.value().size(), 4u);
+  for (std::uint64_t o = 0; o < 4; ++o) expect_record_at(fetched.value()[o], o);
+}
+
 // --- memory held by the write and read paths ---
 
 TEST_F(LogDirTest, AppendBatchFrameBufferIsNotHandedToPayloads) {
-  // A ~103 KB batch-frame buffer returned to BufferPool::global() would
+  // A ~103 KB batch encode buffer returned to BufferPool::global() would
   // be the next buffer encode_shared hands out, and a 6.4 KB payload
   // would then pin it for the payload's whole life.
   StorageConfig config;
@@ -582,11 +720,12 @@ TEST_F(LogDirTest, OffsetForTimestampWithEmptyActiveSegmentAfterTruncate) {
 
 // --- recycled segment files ---
 
-// Same-size records: 141-byte frames, three to a 512-byte segment, so a
-// recycled file's stale frames start on frame boundaries and carry valid
-// CRCs. Twelve records fill segments [0,3) [3,6) [6,9) [9,12).
+// Same-size records, appended one at a time: 165-byte one-record
+// batches, three to a 512-byte segment, so a recycled file's stale
+// batches start on batch boundaries and carry valid CRCs. Twelve records
+// fill segments [0,3) [3,6) [6,9) [9,12).
 constexpr std::size_t kRecycleValueBytes = 100;
-constexpr std::uint64_t kRecycleFrameBytes = 141;
+constexpr std::uint64_t kRecycleFrameBytes = 165;
 
 StorageConfig recycle_config() {
   StorageConfig config;
@@ -642,7 +781,7 @@ TEST_F(RecycleTest, RollReusesSlotAndRecoveryRejectsStaleTailByOffset) {
   EXPECT_EQ(recycled_rolls(), rolls_before + 1);
   EXPECT_FALSE(fs::exists(slot()));
   // The new segment [12,...) is the old [0,3) file, overwritten in place:
-  // two fresh frames, then the old file's third frame (offset 2).
+  // two fresh batches, then the old file's third batch (offset 2).
   EXPECT_EQ(fs::file_size(segment_path(12)), 3 * kRecycleFrameBytes);
   ASSERT_TRUE(log->sync().ok());
 

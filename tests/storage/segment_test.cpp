@@ -39,13 +39,19 @@ class SegmentTest : public ::testing::Test {
 
   std::string seg_path() const { return (dir_ / "seg").string(); }
 
-  /// Writes frames straight to a file, returning the raw bytes written.
-  Bytes write_frames(std::uint64_t base, int count, std::size_t value_size) {
+  /// Writes `count` records straight to a file as batches of
+  /// `per_batch` records (broker timestamps 1000 + 10i), returning the raw
+  /// bytes written.
+  Bytes write_batches(std::uint64_t base, int count, std::size_t value_size,
+                      int per_batch = 1) {
     Bytes all;
-    for (int i = 0; i < count; ++i) {
-      encode_frame(all, base + static_cast<std::uint64_t>(i),
-                   1000 + static_cast<std::uint64_t>(i) * 10,
-                   make_record("k" + std::to_string(i), value_size));
+    for (int first = 0; first < count; first += per_batch) {
+      BatchBuilder batch(all, base + static_cast<std::uint64_t>(first));
+      for (int i = first; i < count && i < first + per_batch; ++i) {
+        batch.add(make_record("k" + std::to_string(i), value_size),
+                  1000 + static_cast<std::uint64_t>(i) * 10);
+      }
+      batch.finish();
     }
     std::ofstream out(seg_path(), std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(all.data()),
@@ -108,58 +114,6 @@ TEST(Crc32c, KernelsAgree) {
 #endif
 }
 
-TEST(Frame, EncodeParseRoundTrip) {
-  Bytes buf;
-  auto record = make_record("key", 100, 0x42);
-  encode_frame(buf, 17, 12345, record);
-
-  FrameView v;
-  ASSERT_EQ(parse_frame(buf.data(), buf.size(), &v), FrameParse::kOk);
-  EXPECT_EQ(v.offset, 17u);
-  EXPECT_EQ(v.broker_timestamp_ns, 12345u);
-  EXPECT_EQ(v.client_timestamp_ns, 7u);
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(v.key), v.key_len),
-            "key");
-  ASSERT_EQ(v.value_len, 100u);
-  EXPECT_EQ(v.value[0], 0x42);
-  EXPECT_EQ(v.frame_bytes, buf.size());
-}
-
-TEST(Frame, TruncationIsTorn) {
-  Bytes buf;
-  encode_frame(buf, 0, 1, make_record("k", 64));
-  FrameView v;
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    EXPECT_EQ(parse_frame(buf.data(), cut, &v), FrameParse::kTorn)
-        << "prefix of " << cut << " bytes parsed as a whole frame";
-  }
-}
-
-TEST(Frame, BitFlipIsTorn) {
-  // 64 B sits mostly in the 8-byte loop; 6 400 B is a durable_quorum-size
-  // record whose 6 433-byte body also ends in a byte tail.
-  for (const std::size_t value_size : {64u, 6400u}) {
-    Bytes buf;
-    encode_frame(buf, 0, 1, make_record("k", value_size));
-    std::vector<std::size_t> flips;
-    for (std::size_t i = kFrameHeaderBytes; i < buf.size(); i += 13) {
-      flips.push_back(i);
-    }
-    for (std::size_t i = buf.size() - 8; i < buf.size(); ++i) {
-      flips.push_back(i);
-    }
-    for (const std::size_t i : flips) {
-      Bytes corrupt = buf;
-      corrupt[i] ^= 0x80;
-      FrameView v;
-      EXPECT_EQ(parse_frame(corrupt.data(), corrupt.size(), &v),
-                FrameParse::kTorn)
-          << "bit flip at byte " << i << " of a " << value_size
-          << "-byte value went undetected";
-    }
-  }
-}
-
 TEST(SegmentFileName, RoundTrip) {
   EXPECT_EQ(segment_file_name(0), "00000000000000000000.seg");
   EXPECT_EQ(segment_file_name(1234), "00000000000000001234.seg");
@@ -172,12 +126,12 @@ TEST(SegmentFileName, RoundTrip) {
 }
 
 TEST_F(SegmentTest, ScanRecoversAllFrames) {
-  const Bytes raw = write_frames(10, 5, 32);
+  const Bytes raw = write_batches(10, 5, 32);
   Segment segment(seg_path(), 10);
-  auto scanned = segment.scan();
-  ASSERT_TRUE(scanned.ok()) << scanned.status().to_string();
-  EXPECT_EQ(scanned.value().valid_bytes, raw.size());
-  EXPECT_EQ(scanned.value().torn_bytes, 0u);
+  auto torn = segment.scan();
+  ASSERT_TRUE(torn.ok()) << torn.status().to_string();
+  EXPECT_EQ(segment.bytes(), raw.size());
+  EXPECT_EQ(torn.value(), 0u);
   EXPECT_EQ(segment.base_offset(), 10u);
   EXPECT_EQ(segment.end_offset(), 15u);
   EXPECT_EQ(segment.record_count(), 5u);
@@ -186,67 +140,74 @@ TEST_F(SegmentTest, ScanRecoversAllFrames) {
 }
 
 TEST_F(SegmentTest, ScanTruncatesTornTail) {
-  const Bytes raw = write_frames(0, 4, 32);
-  // Append half a frame's worth of garbage: a crash mid-write.
+  const Bytes raw = write_batches(0, 4, 32);
+  // Append half a batch's worth of garbage: a crash mid-write.
   {
     std::ofstream out(seg_path(), std::ios::binary | std::ios::app);
     const Bytes garbage(25, 0xee);
     out.write(reinterpret_cast<const char*>(garbage.data()), 25);
   }
   Segment segment(seg_path(), 0);
-  auto scanned = segment.scan();
-  ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(scanned.value().valid_bytes, raw.size());
-  EXPECT_EQ(scanned.value().torn_bytes, 25u);
+  auto torn = segment.scan();
+  ASSERT_TRUE(torn.ok());
+  EXPECT_EQ(segment.bytes(), raw.size());
+  EXPECT_EQ(torn.value(), 25u);
   EXPECT_EQ(segment.record_count(), 4u);
 }
 
 TEST_F(SegmentTest, PositionOfWalksFromSparseIndex) {
-  // Frames of ~1 KiB => several index entries; 50 small frames fit in
-  // one index interval => one entry.
-  for (std::size_t value_size : {1024u, 16u}) {
-    write_frames(100, 50, value_size);
-    Segment segment(seg_path(), 100);
-    ASSERT_TRUE(segment.scan().ok());
-    if (value_size == 1024u) {
-      EXPECT_GT(segment.index().size(), 1u);
-    } else {
-      EXPECT_EQ(segment.index().size(), 1u);
+  // One-record batches of ~1 KiB => several index entries; 50 small ones
+  // fit in one index interval => one entry. Seven-record batches: the
+  // position is that of the batch holding the offset.
+  for (const int per_batch : {1, 7}) {
+    for (std::size_t value_size : {1024u, 16u}) {
+      write_batches(100, 50, value_size, per_batch);
+      Segment segment(seg_path(), 100);
+      ASSERT_TRUE(segment.scan().ok());
+      if (value_size == 1024u) {
+        EXPECT_GT(segment.index().size(), 1u);
+      } else {
+        EXPECT_EQ(segment.index().size(), 1u);
+      }
+      auto mapped = segment.mapping();
+      ASSERT_TRUE(mapped.ok());
+      for (std::uint64_t off = 100; off < 150; ++off) {
+        auto pos = segment.position_of(off);
+        ASSERT_TRUE(pos.ok()) << pos.status().to_string();
+        BatchReader batch;
+        ASSERT_TRUE(segment.read_batch(pos.value(), &batch).ok());
+        EXPECT_EQ(batch.header().base_offset,
+                  off - (off - 100) % static_cast<std::uint64_t>(per_batch));
+        EXPECT_LT(off, batch.header().end_offset());
+      }
+      EXPECT_FALSE(segment.position_of(99).ok());
+      EXPECT_FALSE(segment.position_of(150).ok());
     }
-    auto mapped = segment.mapping();
-    ASSERT_TRUE(mapped.ok());
-    for (std::uint64_t off = 100; off < 150; ++off) {
-      auto pos = segment.position_of(off);
-      ASSERT_TRUE(pos.ok()) << pos.status().to_string();
-      FrameView v;
-      ASSERT_EQ(parse_frame(mapped.value()->data() + pos.value(),
-                            mapped.value()->size() - pos.value(), &v),
-                FrameParse::kOk);
-      EXPECT_EQ(v.offset, off);
-    }
-    EXPECT_FALSE(segment.position_of(99).ok());
-    EXPECT_FALSE(segment.position_of(150).ok());
   }
 }
 
 TEST_F(SegmentTest, OffsetForTimestamp) {
-  // Timestamps 1000, 1010, ..., 1190; ~1 KiB frames => several index
-  // entries to search.
-  write_frames(0, 20, 1024);
-  Segment segment(seg_path(), 0);
-  ASSERT_TRUE(segment.scan().ok());
-  ASSERT_GT(segment.index().size(), 1u);
-  EXPECT_EQ(segment.offset_for_timestamp(0).value(), 0u);
-  EXPECT_EQ(segment.offset_for_timestamp(1000).value(), 0u);
-  EXPECT_EQ(segment.offset_for_timestamp(1001).value(), 1u);
-  EXPECT_EQ(segment.offset_for_timestamp(1100).value(), 10u);
-  EXPECT_EQ(segment.offset_for_timestamp(1190).value(), 19u);
-  // Past the newest record: end offset.
-  EXPECT_EQ(segment.offset_for_timestamp(1191).value(), 20u);
+  // Timestamps 1000, 1010, ..., 1190; ~1 KiB records => several index
+  // entries to search. With three records a batch, most answers lie
+  // inside a batch.
+  for (const int per_batch : {1, 3}) {
+    write_batches(0, 20, 1024, per_batch);
+    Segment segment(seg_path(), 0);
+    ASSERT_TRUE(segment.scan().ok());
+    ASSERT_GT(segment.index().size(), 1u);
+    EXPECT_EQ(segment.offset_for_timestamp(0).value(), 0u);
+    EXPECT_EQ(segment.offset_for_timestamp(1000).value(), 0u);
+    EXPECT_EQ(segment.offset_for_timestamp(1001).value(), 1u);
+    EXPECT_EQ(segment.offset_for_timestamp(1100).value(), 10u);
+    EXPECT_EQ(segment.offset_for_timestamp(1115).value(), 12u);
+    EXPECT_EQ(segment.offset_for_timestamp(1190).value(), 19u);
+    // Past the newest record: end offset.
+    EXPECT_EQ(segment.offset_for_timestamp(1191).value(), 20u);
+  }
 }
 
 TEST_F(SegmentTest, MappingSurvivesUnlink) {
-  write_frames(0, 3, 16);
+  write_batches(0, 3, 16);
   Segment segment(seg_path(), 0);
   ASSERT_TRUE(segment.scan().ok());
   auto mapped = segment.mapping();
@@ -255,9 +216,9 @@ TEST_F(SegmentTest, MappingSurvivesUnlink) {
   fs::remove(seg_path());
   // The mapping remains readable after the file is gone (retention
   // unlinks segments that consumers may still be reading).
-  FrameView v;
-  EXPECT_EQ(parse_frame(region->data(), region->size(), &v), FrameParse::kOk);
-  EXPECT_EQ(v.offset, 0u);
+  BatchReader batch;
+  ASSERT_TRUE(batch.open(region->data(), region->size()).ok());
+  EXPECT_EQ(batch.header().base_offset, 0u);
 }
 
 }  // namespace

@@ -8,12 +8,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/broker.h"
 #include "common/clock.h"
+#include "storage/crc32c.h"
 #include "transport/control_client.h"
 #include "transport/shm_ring.h"
 
@@ -231,6 +234,107 @@ TEST_F(ControlPlaneTest, SocketProduceFetchCommitRoundTrip) {
 
   // Fetch on an unknown topic folds the broker error back to the client.
   EXPECT_EQ(c.fetch("nope", 0, 0).status().code(), StatusCode::kNotFound);
+}
+
+// --- 'B' frames carry one record batch ---
+
+std::vector<broker::Record> numbered_records(int n, std::size_t value_size) {
+  std::vector<broker::Record> records;
+  for (int i = 0; i < n; ++i) {
+    broker::Record r;
+    r.key = "k" + std::to_string(i);
+    r.value = Bytes(value_size, static_cast<std::uint8_t>(i));
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+TEST_F(ControlPlaneTest, MalformedProduceBatchIsRejectedAndConnectionSurvives) {
+  ASSERT_TRUE(client().create_topic("wan", 1).ok());
+  ProduceBatch produce;
+  produce.topic = "wan";
+  produce.client_id = "edge-1";
+  produce.records = numbered_records(3, 16);
+  const Bytes valid = encode_produce_batch(produce);
+  // Envelope: string topic | u32 partition | string client_id.
+  const std::size_t batch_at = 4 + 3 + 4 + 4 + 6;
+  auto reseal = [&](Bytes& payload) {  // CRC32C of the batch after byte 12
+    const std::uint32_t crc = storage::crc32c(payload.data() + batch_at + 12,
+                                              payload.size() - batch_at - 12);
+    std::memcpy(payload.data() + batch_at + 8, &crc, sizeof(crc));
+  };
+  Bytes bad_crc = valid;
+  bad_crc.back() ^= 0x01;
+  const Bytes truncated(valid.begin(), valid.end() - 5);
+  Bytes wild_count = valid;
+  const std::uint32_t count = 1000;  // more records than the bytes hold
+  std::memcpy(wild_count.data() + batch_at + 16, &count, sizeof(count));
+  reseal(wild_count);
+
+  auto socket = FramedSocket::connect_loopback(plane_->port(), 2s);
+  ASSERT_TRUE(socket.ok()) << socket.status().to_string();
+  auto produce_raw = [&](const Bytes& payload) -> Status {
+    if (auto s = socket.value().send_frame(kFrameBinary, payload); !s.ok()) {
+      return s;
+    }
+    auto reply = socket.value().recv_frame(2s);
+    if (!reply.ok()) return reply.status();
+    EXPECT_EQ(reply.value().type, kFrameControl);
+    ControlMap map;
+    if (auto s = parse_control(reply.value().payload, &map); !s.ok()) return s;
+    return status_from_reply(map);
+  };
+  for (const auto& [what, payload] :
+       {std::pair<const char*, const Bytes*>{"bad CRC", &bad_crc},
+        {"truncated batch", &truncated},
+        {"count larger than its bytes", &wild_count}}) {
+    const Status s = produce_raw(*payload);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_EQ(broker_->end_offset("wan", 0).value(), 0u)
+        << what << " appended records";
+  }
+  // The same connection then serves a valid produce.
+  EXPECT_TRUE(produce_raw(valid).ok());
+  EXPECT_EQ(broker_->end_offset("wan", 0).value(), 3u);
+}
+
+TEST_F(ControlPlaneTest, BatchValuesAliasTheirFrameBuffer) {
+  auto c = client();
+  ASSERT_TRUE(c.create_topic("wan", 1).ok());
+  ASSERT_TRUE(c.produce("wan", 0, numbered_records(20, 64), "edge-1").ok());
+
+  // Pointer-range check: every value lies inside one buffer, the frame
+  // the socket received, and no two values overlap.
+  auto expect_one_frame = [](const std::vector<broker::ConsumedRecord>& got,
+                             const char* side) {
+    ASSERT_EQ(got.size(), 20u) << side;
+    const void* owner = got.front().record.value.shared().get();
+    ASSERT_NE(owner, nullptr) << side;
+    const auto* frame = static_cast<const Bytes*>(owner);
+    const std::uint8_t* lo = frame->data();
+    const std::uint8_t* hi = frame->data() + frame->size();
+    const std::uint8_t* prev_end = lo;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const broker::Payload& v = got[i].record.value;
+      EXPECT_EQ(v.shared().get(), owner) << side << " record " << i;
+      EXPECT_GE(v.data(), prev_end) << side << " record " << i;
+      EXPECT_LE(v.data() + v.size(), hi) << side << " record " << i;
+      EXPECT_EQ(v[0], static_cast<std::uint8_t>(i)) << side << " record " << i;
+      prev_end = v.data() + v.size();
+    }
+  };
+  // The broker's hot window holds views of the produce frame it received.
+  broker::FetchSpec spec;
+  spec.max_records = 100;
+  auto held = broker_->fetch("wan", 0, spec);
+  ASSERT_TRUE(held.ok());
+  expect_one_frame(held.value(), "broker");
+  // The consumer's records are views of the fetch reply frame.
+  auto fetched = c.fetch("wan", 0, /*offset=*/0, /*max_records=*/100);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().to_string();
+  expect_one_frame(fetched.value(), "consumer");
+  EXPECT_NE(fetched.value()[0].record.value.shared(),
+            held.value()[0].record.value.shared());
 }
 
 TEST_F(ControlPlaneTest, StatsOpCountsChannelStates) {

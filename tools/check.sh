@@ -80,7 +80,7 @@ case "${MODE}" in
 
   storage-torture)
     # Kill-loop over the storage engine: random appends/fsyncs, a power
-    # cut at a random point (possibly mid-frame), recover, verify the
+    # cut at a random point (possibly mid-batch), recover, verify the
     # durability contract, repeat. FILTER is the round count.
     ROUNDS="${FILTER:-50}"
     BUILD_DIR="${ROOT}/build"

@@ -2,9 +2,11 @@
 // verify, repeat.
 //
 // Each round appends a random number of records (sizes drawn from a
-// seeded Rng, payload bytes derived deterministically from the offset),
-// fsyncs at random points, then cuts power keeping a random fraction of
-// the unsynced tail — possibly mid-frame. Recovery must then uphold the
+// seeded Rng, payload bytes derived deterministically from the offset) —
+// half the appends single records, half append_batch calls of 1-32
+// records, each stored as one record batch — fsyncs at random points,
+// then cuts power keeping a random fraction of the unsynced tail,
+// possibly inside a multi-record batch. Recovery must then uphold the
 // durability contract:
 //   1. every record that was fsynced is still there;
 //   2. what survives is a dense offset prefix — no holes, no reordering;
@@ -21,12 +23,13 @@
 //
 // A third phase models the crash that truncate-based power-loss
 // simulation never produces: a log at its retention limit recycles
-// segment files, so its active segment holds CRC-valid frames of an older
+// segment files, so its active segment holds CRC-valid batches of an older
 // offset range behind the valid bytes, and a power cut keeps the file at
 // full length. Each round copies the directory's files byte for byte at a
 // random point, recovers the copy, and checks the same contract on it.
 //
 // Usage: storage_torture [rounds] [seed] [dir]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -155,8 +158,8 @@ void run_group_commit_torture(int rounds, std::uint64_t seed,
 }
 
 /// Stale-tail record: a constant key and, when `value_size` is non-zero,
-/// a constant size, so a recycled file's stale frames land on the new
-/// frames' boundaries; the bytes still derive from the offset.
+/// a constant size, so a recycled file's stale batches land on the new
+/// batches' boundaries; the bytes still derive from the offset.
 broker::Record stale_tail_record(std::uint64_t offset,
                                  std::size_t value_size) {
   broker::Record r;
@@ -342,14 +345,29 @@ int main(int argc, char** argv) {
     next_offset = log.end_offset();
     const int appends = rng.uniform_int(1, 400);
     const int sync_after = rng.uniform_int(0, appends);
-    for (int i = 0; i < appends; ++i) {
-      auto off = log.append(record_for(next_offset), 1 + next_offset);
+    for (int i = 0; i < appends;) {
+      const int n = rng.uniform_int(0, 1) == 0
+                        ? 1
+                        : std::min(static_cast<int>(rng.uniform_int(1, 32)),
+                                   appends - i);
+      std::vector<broker::Record> records;
+      std::vector<storage::TimestampedRecord> batch;
+      for (int j = 0; j < n; ++j) {
+        records.push_back(record_for(next_offset + j));
+      }
+      for (int j = 0; j < n; ++j) {
+        batch.push_back({&records[static_cast<std::size_t>(j)],
+                         1 + next_offset + j});
+      }
+      auto off = n == 1 ? log.append(records[0], 1 + next_offset)
+                        : log.append_batch(batch);
       check(off.ok(), "append: " + off.status().to_string());
       check(off.value() == next_offset,
             "append offset skew: wanted " + std::to_string(next_offset) +
                 ", got " + std::to_string(off.value()));
-      ++next_offset;
-      if (i + 1 == sync_after) {
+      next_offset += static_cast<std::uint64_t>(n);
+      i += n;
+      if (i >= sync_after && i - n < sync_after) {
         check(log.sync().ok(), "sync failed");
         synced_floor = next_offset;
       }
