@@ -288,7 +288,7 @@ void run_cluster_case(std::uint32_t brokers, std::uint32_t partitions) {
     threads.emplace_back([&, t] {
       broker::Producer producer(
           std::make_shared<cluster::ClusterEndpoint>(
-              bc, cluster::RetryConfig{}, cluster::AckPolicy::kQuorum),
+              bc, cluster::AckPolicy::kQuorum),
           nullptr, "bench");
       for (std::size_t i = 0; i < kMessagesPerThread; ++i) {
         const auto p =

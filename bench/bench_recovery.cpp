@@ -140,7 +140,7 @@ MttrSample bench_broker_failover(std::size_t repeats) {
     if (!bc->create_topic("bench").ok()) std::abort();
     broker::Producer producer(
         std::make_shared<cluster::ClusterEndpoint>(
-            bc, cluster::RetryConfig{}, cluster::AckPolicy::kQuorum),
+            bc, cluster::AckPolicy::kQuorum),
         nullptr, "bench");
     broker::Record warmup;
     warmup.key = "warmup";

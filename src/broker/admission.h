@@ -8,9 +8,9 @@
 //    configurable burst depth). A client over its quota is *throttled*,
 //    not dropped: the produce fails with Status::Throttled — a
 //    RESOURCE_EXHAUSTED carrying a retry-after hint, which is transient,
-//    so every retrying client (cluster::ClusterEndpoint, RetryPolicy
-//    users) backs off and succeeds once the bucket refills. Zero
-//    acked-record loss.
+//    so every retrying client (Producer and Consumer by broker/retry.h,
+//    RetryPolicy users) waits out the hint and succeeds once the bucket
+//    refills. Zero acked-record loss.
 //
 //  - A hot-window byte cap across the whole broker: the sum of all
 //    partitions' in-memory deques is never allowed past the cap. Produce

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "broker/retry.h"
 #include "common/ids.h"
 #include "common/logging.h"
 
@@ -23,7 +24,8 @@ Consumer::Consumer(std::shared_ptr<Endpoint> endpoint,
 Consumer::~Consumer() { close(); }
 
 Status Consumer::subscribe(const std::vector<std::string>& topics) {
-  auto joined = endpoint_->join_group(group_, id_, topics);
+  auto joined = retry_transient(
+      [&] { return endpoint_->join_group(group_, id_, topics); });
   if (!joined.ok()) return joined.status();
   subscribed_ = true;
   subscribed_topics_ = topics;
@@ -286,10 +288,11 @@ bool Consumer::paused(const TopicPartition& tp) const {
 }
 
 Status Consumer::commit() {
-  for (const auto& [tp, pos] : positions_) {
-    if (auto s = endpoint_->commit_offset(group_, tp, pos); !s.ok()) {
-      return s;
-    }
+  for (const auto& position : positions_) {
+    auto s = retry_transient([&] {
+      return endpoint_->commit_offset(group_, position.first, position.second);
+    });
+    if (!s.ok()) return s;
   }
   return Status::Ok();
 }

@@ -61,7 +61,8 @@ class Consumer {
   const std::string& id() const { return id_; }
   const std::string& group() const { return group_; }
 
-  /// Group subscription; partitions are assigned by the coordinator.
+  /// Group subscription; partitions are assigned by the coordinator. The
+  /// join retries transient failures (broker/retry.h).
   Status subscribe(const std::vector<std::string>& topics);
 
   /// Manual assignment (no group coordination).
@@ -97,7 +98,8 @@ class Consumer {
   Status resume(const TopicPartition& tp);
   bool paused(const TopicPartition& tp) const;
 
-  /// Commits current positions for all assigned partitions.
+  /// Commits current positions for all assigned partitions; each commit
+  /// retries transient failures (broker/retry.h).
   Status commit();
 
   /// Leaves the group (idempotent); called by the destructor. With

@@ -1,5 +1,7 @@
 #include "broker/producer.h"
 
+#include "broker/retry.h"
+
 namespace pe::broker {
 
 Producer::Producer(std::shared_ptr<Endpoint> endpoint,
@@ -21,9 +23,7 @@ Result<RecordMetadata> Producer::send(const std::string& topic,
 
 Result<RecordMetadata> Producer::send(const std::string& topic,
                                       std::uint32_t partition, Record record) {
-  std::vector<Record> batch;
-  batch.push_back(std::move(record));
-  return send_batch(topic, partition, std::move(batch));
+  return send_records(topic, partition, {&record, 1});
 }
 
 Result<RecordMetadata> Producer::send_batch(const std::string& topic,
@@ -32,31 +32,41 @@ Result<RecordMetadata> Producer::send_batch(const std::string& topic,
   if (records.empty()) {
     return Status::InvalidArgument("empty batch");
   }
+  return send_records(topic, partition, records);
+}
+
+Result<RecordMetadata> Producer::send_records(
+    const std::string& topic, std::uint32_t partition,
+    std::span<const Record> records) {
   std::uint64_t bytes = 0;
   for (const auto& r : records) bytes += r.wire_size();
 
   RecordMetadata meta;
-  if (fabric_) {
-    auto transfer = fabric_->transfer(site_, endpoint_->site(), bytes);
-    if (!transfer.ok()) {
-      MutexLock lock(mutex_);
-      stats_.send_errors += 1;
-      return transfer.status();
-    }
-    meta.transfer = transfer.value();
-  }
-
-  const auto count = records.size();
-  auto offset = endpoint_->produce(topic, partition, std::move(records), id_);
-  if (!offset.ok()) {
-    MutexLock lock(mutex_);
-    stats_.send_errors += 1;
-    return offset.status();
-  }
+  RetryTally tally;
+  auto offset = retry_transient(
+      [&]() -> Result<std::uint64_t> {
+        if (fabric_) {
+          auto transfer = fabric_->transfer(site_, endpoint_->site(), bytes);
+          if (!transfer.ok()) return transfer.status();
+          meta.transfer = transfer.value();
+        }
+        // One copy per attempt: payloads are shared views, so it costs
+        // the keys and a refcount bump, never payload bytes.
+        return endpoint_->produce(
+            topic, partition,
+            std::vector<Record>(records.begin(), records.end()), id_);
+      },
+      &tally);
 
   {
     MutexLock lock(mutex_);
-    stats_.records_sent += count;
+    stats_.retries += tally.retries;
+    stats_.throttle_waits += tally.throttle_waits;
+    if (!offset.ok()) {
+      stats_.send_errors += 1;
+      return offset.status();
+    }
+    stats_.records_sent += records.size();
     stats_.bytes_sent += bytes;
   }
 

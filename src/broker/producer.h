@@ -6,10 +6,17 @@
 // producer batching: the whole batch crosses the network as one transfer
 // (one propagation delay), which is what makes batching pay off over the
 // WAN.
+//
+// Every send retries transient failures (a throttle, NOT_LEADER,
+// UNAVAILABLE, a quorum TIMEOUT, a partitioned link) by the one client
+// policy in broker/retry.h; each attempt crosses the network again. A
+// retry after an ack TIMEOUT can duplicate records: at-least-once, never
+// silently lossy.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +39,12 @@ struct RecordMetadata {
 struct ProducerStats {
   std::uint64_t records_sent = 0;
   std::uint64_t bytes_sent = 0;
+  /// Sends that failed after the retry policy gave up (or permanently).
   std::uint64_t send_errors = 0;
+  /// Attempts repeated after a transient failure, across all sends.
+  std::uint64_t retries = 0;
+  /// The retries that waited out a broker throttle's retry-after hint.
+  std::uint64_t throttle_waits = 0;
 };
 
 class Producer {
@@ -59,6 +71,11 @@ class Producer {
   ProducerStats stats() const;
 
  private:
+  /// One transfer and one produce per attempt, under the retry policy.
+  Result<RecordMetadata> send_records(const std::string& topic,
+                                      std::uint32_t partition,
+                                      std::span<const Record> records);
+
   std::shared_ptr<Endpoint> endpoint_;
   std::shared_ptr<net::Fabric> fabric_;
   const net::SiteId site_;

@@ -1,9 +1,9 @@
 #include "cluster/cluster_endpoint.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "cluster/shard_map.h"
+#include "common/clock.h"
 
 namespace pe::cluster {
 
@@ -16,32 +16,9 @@ Status no_coordinator() {
 }  // namespace
 
 ClusterEndpoint::ClusterEndpoint(std::shared_ptr<BrokerCluster> cluster,
-                                 RetryConfig retry,
                                  std::optional<AckPolicy> acks)
     : cluster_(std::move(cluster)),
-      retry_(retry),
       acks_(acks.value_or(cluster_->options().default_acks)) {}
-
-Status ClusterEndpoint::with_retry(const std::function<Status()>& attempt) {
-  Duration delay = retry_.initial_backoff;
-  Status last_error = Status::Unavailable("retry budget is zero");
-  for (std::size_t n = 0; n < retry_.max_attempts; ++n) {
-    if (n > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      if (last_error.retry_after() > Duration::zero()) {
-        throttle_waits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // A throttle's retry-after hint is the backoff floor, so a herd of
-      // producers cannot hammer an over-budget broker faster than its
-      // bucket refills.
-      Clock::sleep_scaled(std::max(delay, last_error.retry_after()));
-      delay = std::min(delay * 2, retry_.max_backoff);
-    }
-    last_error = attempt();
-    if (last_error.ok() || !last_error.is_transient()) break;
-  }
-  return last_error;
-}
 
 Result<BrokerId> ClusterEndpoint::leader_for(const std::string& topic,
                                              std::uint32_t partition) {
@@ -77,26 +54,17 @@ Result<std::uint32_t> ClusterEndpoint::select_partition(
 Result<std::uint64_t> ClusterEndpoint::produce(
     const std::string& topic, std::uint32_t partition,
     std::vector<broker::Record> records, const std::string& client_id) {
-  std::uint64_t first = 0;
-  Status s = with_retry([&]() -> Status {
-    auto leader = leader_for(topic, partition);
-    if (!leader.ok()) return leader.status();
-    // Per-attempt copies are cheap: payload views are shared, only keys
-    // and coordinates duplicate.
-    auto produced = cluster_->produce(leader.value(), topic, partition,
-                                      records, acks_, client_id);
-    if (!produced.ok()) {
-      // Leadership may have moved (NOT_LEADER carries the new leader; a
-      // dead leader shows as UNAVAILABLE until the election lands): drop
-      // the cache entry so the next attempt re-resolves.
-      forget_leader(topic, partition);
-      return produced.status();
-    }
-    first = produced.value();
-    return Status::Ok();
-  });
-  if (!s.ok()) return s;
-  return first;
+  auto leader = leader_for(topic, partition);
+  if (!leader.ok()) return leader.status();
+  auto produced = cluster_->produce(leader.value(), topic, partition,
+                                    std::move(records), acks_, client_id);
+  if (!produced.ok()) {
+    // Leadership may have moved (NOT_LEADER carries the new leader; a
+    // dead leader shows as UNAVAILABLE until the election lands): drop
+    // the cache entry so the next attempt re-resolves.
+    forget_leader(topic, partition);
+  }
+  return produced;
 }
 
 Result<std::vector<broker::ConsumedRecord>> ClusterEndpoint::fetch(
@@ -137,18 +105,9 @@ Result<std::uint64_t> ClusterEndpoint::end_offset(
 Result<broker::GroupAssignment> ClusterEndpoint::join_group(
     const std::string& group, const std::string& member,
     const std::vector<std::string>& topics) {
-  broker::GroupAssignment assignment;
-  // Retried across an offsets-leader failover.
-  Status s = with_retry([&]() -> Status {
-    auto coordinator = cluster_->offsets_leader();
-    if (!coordinator) return no_coordinator();
-    auto joined = coordinator->join_group(group, member, topics);
-    if (!joined.ok()) return joined.status();
-    assignment = std::move(joined).value();
-    return Status::Ok();
-  });
-  if (!s.ok()) return s;
-  return assignment;
+  auto coordinator = cluster_->offsets_leader();
+  if (!coordinator) return no_coordinator();
+  return coordinator->join_group(group, member, topics);
 }
 
 Status ClusterEndpoint::leave_group(const std::string& group,
@@ -175,13 +134,8 @@ Result<broker::GroupAssignment> ClusterEndpoint::group_assignment(
 Status ClusterEndpoint::commit_offset(const std::string& group,
                                       const broker::TopicPartition& tp,
                                       std::uint64_t offset) {
-  return with_retry([&] {
-    // The epoch is re-read per attempt: after an offsets failover the
-    // first try fails NOT_LEADER (stale epoch) and the retry lands on
-    // the new leader's epoch.
-    return cluster_->commit_offset(group, tp, offset,
-                                   cluster_->offsets_epoch());
-  });
+  return cluster_->commit_offset(group, tp, offset,
+                                 cluster_->offsets_epoch());
 }
 
 }  // namespace pe::cluster

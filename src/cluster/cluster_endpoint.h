@@ -1,23 +1,19 @@
 // broker::Endpoint over a replicated BrokerCluster. Routes produce/fetch
 // through a per-partition leader cache and group calls to the `__offsets`
-// leader. Produce, group join and offset commits retry NOT_LEADER /
-// UNAVAILABLE (leader died, election pending, broker isolated) with
-// capped exponential backoff floored by a throttle's retry-after hint; a
-// produce retry after an ack TIMEOUT can duplicate records (at-least-once,
-// never silently lossy). Fetches are not retried: the consumer's next
-// sweep finds the new leader. Thread-safe.
+// leader. Every call makes one attempt: a produce that fails drops the
+// cached leader, so the next attempt re-resolves it. Retrying NOT_LEADER /
+// UNAVAILABLE / TIMEOUT is the clients' job (broker/retry.h), the same
+// rule as against a single Broker. A fetch with `max_wait` waits out a
+// leader move like no data. Thread-safe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "broker/endpoint.h"
@@ -25,26 +21,10 @@
 
 namespace pe::cluster {
 
-/// Retry envelope for cluster calls: transient failures (NOT_LEADER,
-/// UNAVAILABLE, TIMEOUT, throttles) are retried, anything else fails fast.
-struct RetryConfig {
-  std::size_t max_attempts = 8;
-  Duration initial_backoff = std::chrono::milliseconds(1);
-  Duration max_backoff = std::chrono::milliseconds(64);
-};
-
-struct ClusterEndpointStats {
-  /// Attempts repeated after a retryable failure, across all calls.
-  std::uint64_t retries = 0;
-  /// The retries a broker throttle (quota or hot-window cap) caused.
-  std::uint64_t throttle_waits = 0;
-};
-
 class ClusterEndpoint final : public broker::Endpoint {
  public:
   /// `acks` defaults to the cluster's default ack policy.
   explicit ClusterEndpoint(std::shared_ptr<BrokerCluster> cluster,
-                           RetryConfig retry = {},
                            std::optional<AckPolicy> acks = std::nullopt);
 
   /// Members sit on no fabric site: clients pass a null fabric.
@@ -87,7 +67,9 @@ class ClusterEndpoint final : public broker::Endpoint {
                    const std::string& member) override;
   Result<broker::GroupAssignment> group_assignment(
       const std::string& group, const std::string& member) override;
-  /// Quorum-acked: OK means the commit survives offsets-leader loss.
+  /// Quorum-acked: OK means the commit survives offsets-leader loss. The
+  /// epoch is read per call, so after an offsets failover the client's
+  /// retry of a NOT_LEADER (stale epoch) lands on the new leader's epoch.
   Status commit_offset(const std::string& group,
                        const broker::TopicPartition& tp,
                        std::uint64_t offset) override;
@@ -96,25 +78,14 @@ class ClusterEndpoint final : public broker::Endpoint {
     return cluster_->committed_offset(group, tp);
   }
 
-  ClusterEndpointStats stats() const {
-    return {retries_.load(std::memory_order_relaxed),
-            throttle_waits_.load(std::memory_order_relaxed)};
-  }
-
  private:
-  /// Runs `attempt` until it succeeds, fails permanently, or the retry
-  /// budget runs out; returns the last status.
-  Status with_retry(const std::function<Status()>& attempt);
   Result<BrokerId> leader_for(const std::string& topic,
                               std::uint32_t partition);
   void forget_leader(const std::string& topic, std::uint32_t partition);
 
   const std::shared_ptr<BrokerCluster> cluster_;
-  const RetryConfig retry_;
   const AckPolicy acks_;
   const net::SiteId site_ = "cluster";
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> throttle_waits_{0};
   // Guards the leader cache only, never held across a cluster call.
   Mutex mutex_;
   std::map<broker::TopicPartition, BrokerId> leaders_ PE_GUARDED_BY(mutex_);

@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
-
 namespace pe {
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::string /*name_prefix*/) {
@@ -16,30 +14,6 @@ ThreadPool::~ThreadPool() { shutdown(); }
 
 bool ThreadPool::submit(std::function<void()> job) {
   return jobs_.push(std::move(job));
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& f) {
-  if (n == 0) return;
-  if (n == 1 || threads_.size() == 1) {
-    for (std::size_t i = 0; i < n; ++i) f(i);
-    return;
-  }
-  // Static block partitioning: one chunk per thread keeps queue overhead
-  // negligible relative to per-item cost in the ML kernels.
-  const std::size_t chunks = std::min(n, threads_.size());
-  std::atomic<std::size_t> done{0};
-  std::promise<void> all_done;
-  auto fut = all_done.get_future();
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * n / chunks;
-    const std::size_t end = (c + 1) * n / chunks;
-    submit([&, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) f(i);
-      if (done.fetch_add(1) + 1 == chunks) all_done.set_value();
-    });
-  }
-  fut.wait();
 }
 
 void ThreadPool::shutdown() {

@@ -16,25 +16,6 @@ namespace pe::core {
 
 namespace {
 
-// Bounded retry on transient broker failures (offline partition,
-// partitioned link) so a short fault does not kill the sender. The
-// per-attempt copy shares the encoded payload — a retry costs a refcount
-// bump, not a re-serialization.
-Status send_with_retry(broker::Producer& producer, const std::string& topic,
-                       std::uint32_t partition, const broker::Record& record,
-                       const exec::TaskContext& tctx) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    broker::Record copy = record;
-    auto meta = producer.send(topic, partition, std::move(copy));
-    if (meta.ok()) return Status::Ok();
-    if (!meta.status().is_transient() || attempt >= 5 ||
-        tctx.stop_requested()) {
-      return meta.status();
-    }
-    Clock::sleep_scaled(std::chrono::milliseconds(5));
-  }
-}
-
 // Startup barrier bound (wall time) and its check interval.
 constexpr auto kStartupBarrierTimeout = std::chrono::seconds(2);
 constexpr auto kStartupBarrierStep = std::chrono::microseconds(50);
@@ -545,11 +526,13 @@ Status EdgeToCloudPipeline::producer_body(exec::TaskContext& tctx,
       record.key = device_id;
       record.client_timestamp_ns = block.produced_ns;
       record.value = data::Codec::encode_shared(block);
-      if (auto s = send_with_retry(producer, config_.topic, partition, record,
-                                   tctx);
-          !s.ok()) {
+      // The producer rides out transient broker failures (an offline
+      // partition, a partitioned link) by the client retry policy.
+      if (auto meta = producer.send(config_.topic, partition,
+                                    std::move(record));
+          !meta.ok()) {
         errors_.fetch_add(1);
-        return s;
+        return meta.status();
       }
     }
     collector_->on_sent(message_id, Clock::now_ns());
@@ -686,8 +669,9 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
           out.value = data::Codec::encode_shared(forward);
           auto partition = broker_->select_partition(next_topic, out);
           outcome = partition.ok()
-                        ? send_with_retry(*producer, next_topic,
-                                          partition.value(), out, tctx)
+                        ? producer->send(next_topic, partition.value(),
+                                         std::move(out))
+                              .status()
                         : partition.status();
         } else if (producer) {
           if (auto meta = producer->send(

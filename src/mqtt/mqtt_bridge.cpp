@@ -4,6 +4,11 @@
 
 namespace pe::mqtt {
 
+namespace {
+/// Emulated idle wait between polls that returned nothing.
+constexpr Duration kPollInterval = std::chrono::milliseconds(5);
+}  // namespace
+
 MqttKafkaBridge::MqttKafkaBridge(std::shared_ptr<MqttBroker> mqtt,
                                  std::shared_ptr<broker::Broker> kafka,
                                  std::shared_ptr<net::Fabric> fabric,
@@ -37,10 +42,10 @@ Status MqttKafkaBridge::start() {
 
 void MqttKafkaBridge::run() {
   while (running_.load(std::memory_order_acquire)) {
-    auto messages = client_->poll(64);
+    auto messages = client_->poll(64, /*auto_ack=*/false);
     if (!messages.ok()) {
       errors_.fetch_add(1);
-      Clock::sleep_scaled(config_.poll_interval);
+      Clock::sleep_scaled(kPollInterval);
       continue;
     }
     for (auto& m : messages.value()) {
@@ -53,6 +58,12 @@ void MqttKafkaBridge::run() {
       auto meta = producer_->send(config_.kafka_topic, std::move(record));
       if (meta.ok()) {
         forwarded_.fetch_add(1);
+        // Acked only once forwarded: an unacked QoS-1 message is
+        // redelivered by the session, so a failed forward is never lost.
+        // Not charged to the fabric, like MqttClient::poll's auto-ack.
+        if (m.qos == QoS::kAtLeastOnce) {
+          (void)mqtt_->ack(client_->client_id(), m.packet_id);
+        }
       } else {
         errors_.fetch_add(1);
         PE_LOG_WARN("bridge forward failed: "
@@ -60,7 +71,7 @@ void MqttKafkaBridge::run() {
       }
     }
     if (messages.value().empty()) {
-      Clock::sleep_scaled(config_.poll_interval);
+      Clock::sleep_scaled(kPollInterval);
     }
   }
 }

@@ -6,6 +6,12 @@
 // topic, where cloud processing keeps replay + consumer-group semantics.
 // Messages are keyed by their MQTT topic so one device's stream stays in
 // one partition.
+//
+// Delivery is at-least-once end to end: the bridge acks a QoS-1 message
+// only after its forward succeeded (the producer retries transient
+// failures by broker/retry.h). A forward that exhausts the retry budget
+// stays unacked, so the MQTT session redelivers it after its ack timeout;
+// downstream deduplication by message id absorbs the duplicate.
 #pragma once
 
 #include <atomic>
@@ -22,7 +28,6 @@ namespace pe::mqtt {
 struct BridgeConfig {
   std::string mqtt_filter = "#";
   std::string kafka_topic;
-  Duration poll_interval = std::chrono::milliseconds(5);
 };
 
 struct BridgeStats {

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "broker/producer.h"
 #include "common/logging.h"
 #include "telemetry/metrics.h"
 
@@ -59,41 +60,11 @@ void FleetGenerator::observe_hot_window() {
       .set(static_cast<double>(hot));
 }
 
-void FleetGenerator::send_with_retry(std::uint32_t partition,
-                                     std::vector<broker::Record> records,
-                                     const std::string& client) {
-  if (records.empty()) return;
-  const auto count = static_cast<std::uint64_t>(records.size());
-  Status last = Status::Ok();
-  for (std::size_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
-    // Copies share the payload views: per-attempt cost is keys only.
-    std::vector<broker::Record> copy = records;
-    auto sent = broker_->produce(config_.topic, partition, std::move(copy),
-                                 client);
-    if (sent.ok()) {
-      acked_.fetch_add(count, std::memory_order_relaxed);
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    last = sent.status();
-    if (!last.is_transient()) break;
-    throttled_.fetch_add(1, std::memory_order_relaxed);
-    // Backpressure: wait out the broker's hint (emulated) and retry.
-    Duration wait = last.retry_after();
-    if (wait <= Duration::zero()) wait = std::chrono::milliseconds(1);
-    Clock::sleep_scaled(wait);
-  }
-  dropped_.fetch_add(count, std::memory_order_relaxed);
-  PE_LOG_WARN("fleet: dropped batch of " << count << " records on partition "
-                                         << partition << ": "
-                                         << last.to_string());
-}
-
-void FleetGenerator::sender_loop(std::size_t thread_index,
-                                 std::size_t device_lo,
+void FleetGenerator::sender_loop(std::size_t device_lo,
                                  std::size_t device_hi) {
   if (device_lo >= device_hi) return;
-  const std::string client = "fleet-sender-" + std::to_string(thread_index);
+  // No emulated link: the fleet sits next to its broker.
+  broker::Producer producer(broker_, nullptr, "fleet");
   const double tick_s = seconds(config_.tick);
   const double duration_s = seconds(config_.duration);
   const double period_s = std::max(1e-9, seconds(config_.diurnal_period));
@@ -134,12 +105,24 @@ void FleetGenerator::sender_loop(std::size_t thread_index,
     generated_.fetch_add(emit, std::memory_order_relaxed);
     for (std::uint32_t p = 0; p < batches.size(); ++p) {
       if (batches[p].empty()) continue;
-      send_with_retry(p, std::move(batches[p]), client);
+      const auto count = static_cast<std::uint64_t>(batches[p].size());
+      auto sent = producer.send_batch(config_.topic, p, std::move(batches[p]));
       batches[p].clear();
+      if (sent.ok()) {
+        acked_.fetch_add(count, std::memory_order_relaxed);
+        batches_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        dropped_.fetch_add(count, std::memory_order_relaxed);
+        PE_LOG_WARN("fleet: dropped batch of "
+                    << count << " records on partition " << p << ": "
+                    << sent.status().to_string());
+      }
     }
     observe_hot_window();
     Clock::sleep_scaled(config_.tick);
   }
+  throttled_.fetch_add(producer.stats().throttle_waits,
+                       std::memory_order_relaxed);
 }
 
 std::uint64_t FleetGenerator::total_end_offsets() const {
@@ -213,8 +196,7 @@ Result<FleetReport> FleetGenerator::run() {
   for (std::size_t i = 0; i < config_.sender_threads; ++i) {
     const std::size_t lo = std::min(config_.devices, i * per);
     const std::size_t hi = std::min(config_.devices, lo + per);
-    senders.emplace_back(
-        [this, i, lo, hi] { sender_loop(i, lo, hi); });
+    senders.emplace_back([this, lo, hi] { sender_loop(lo, hi); });
   }
   for (auto& t : senders) t.join();
   senders_done_.store(true, std::memory_order_release);

@@ -16,13 +16,14 @@
 // reproducing the skewed partition heat the admission layer exists for
 // (the k* shape constants live in fleet.cpp).
 //
-// Senders push through Broker::produce with a per-thread client id and
-// honor backpressure: a transient throttle (quota / hot-window cap) waits
-// out the broker's retry-after hint and retries — acked records are never
-// lost, which the run report can prove (records_consumed == records_acked
-// after drain). A concurrent consumer drains every partition, measuring
-// end-to-end latency from each record's client timestamp and the fleet's
-// consumer lag.
+// Each sender thread sends through its own broker::Producer, so it has
+// its own client id at admission control and honors backpressure by the
+// one client retry policy (broker/retry.h): a transient throttle (quota /
+// hot-window cap) waits out the broker's retry-after hint and retries.
+// Acked records are never lost, which the run report can prove
+// (records_consumed == records_acked after drain). A concurrent consumer
+// drains every partition, measuring end-to-end latency from each record's
+// client timestamp and the fleet's consumer lag.
 #pragma once
 
 #include <atomic>
@@ -54,9 +55,6 @@ struct FleetConfig {
   /// Emulated generation time and tick granularity.
   Duration duration = std::chrono::seconds(2);
   Duration tick = std::chrono::milliseconds(10);
-  /// Throttle retries per batch before counting its records as dropped
-  /// (a drop here is a generator failure — zero is the acceptance bar).
-  std::size_t max_retries = 256;
   /// Emulated budget for the post-generation consumer drain.
   Duration drain_timeout = std::chrono::seconds(10);
 };
@@ -69,8 +67,8 @@ struct FleetReport {
   /// Transient throttle rejections observed by senders (each one waited
   /// out the broker's retry-after hint and retried).
   std::uint64_t throttled_sends = 0;
-  /// Records abandoned after max_retries or a permanent error. Must be 0
-  /// for a healthy run.
+  /// Records abandoned after the retry budget or a permanent error. Must
+  /// be 0 for a healthy run (a drop here is a generator failure).
   std::uint64_t dropped_records = 0;
   std::uint64_t records_consumed = 0;
   /// Producer-to-consumer latency in emulated milliseconds.
@@ -94,14 +92,9 @@ class FleetGenerator {
   Result<FleetReport> run();
 
  private:
-  void sender_loop(std::size_t thread_index, std::size_t device_lo,
-                   std::size_t device_hi);
+  void sender_loop(std::size_t device_lo, std::size_t device_hi);
   void consumer_loop();
   std::uint32_t partition_for(std::size_t device) const;
-  /// Sends one batch with throttle-aware retries; updates counters.
-  void send_with_retry(std::uint32_t partition,
-                       std::vector<broker::Record> records,
-                       const std::string& client);
   void observe_hot_window();
   std::uint64_t total_end_offsets() const;
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "taskexec/task.h"

@@ -60,11 +60,12 @@ struct ClientTarget {
 
 /// {`broker` over `fabric`, a fresh 3-broker cluster}, each with topic
 /// `topic` of `partitions` partitions under `retention` (created here on
-/// the cluster; the broker's is the caller's).
+/// the cluster; the broker's is the caller's). `admission` applies to the
+/// cluster; the broker's is the caller's.
 inline std::vector<ClientTarget> client_targets(
     std::shared_ptr<Broker> broker, std::shared_ptr<net::Fabric> fabric,
     const std::string& topic, std::uint32_t partitions,
-    RetentionPolicy retention = {}) {
+    RetentionPolicy retention = {}, AdmissionConfig admission = {}) {
   std::vector<ClientTarget> targets;
   targets.push_back({"broker", broker, std::move(fabric), broker, nullptr});
 
@@ -72,6 +73,7 @@ inline std::vector<ClientTarget> client_targets(
   options.heartbeat_interval = std::chrono::milliseconds(1);
   options.session_timeout = std::chrono::milliseconds(6);
   options.ack_timeout = std::chrono::milliseconds(40);
+  options.admission = admission;
   auto bc = std::make_shared<cluster::BrokerCluster>(options);
   targets.push_back({"cluster", std::make_shared<cluster::ClusterEndpoint>(bc),
                      nullptr, nullptr, bc});

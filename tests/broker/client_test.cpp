@@ -99,6 +99,44 @@ TEST_F(ClientTest, SendToUnknownTopicCountsError) {
   EXPECT_EQ(producer.stats().send_errors, 1u);
 }
 
+TEST_F(ClientTest, ThrottledSendIsRetriedToSuccess) {
+  // Quota buckets refill in emulated time: speed up the waits. Declared
+  // first so the scale is restored only after the targets shut down.
+  ScopedTimeScale scale(100.0);
+  AdmissionConfig admission;
+  admission.default_quota.bytes_per_sec = 20'000.0;
+  admission.default_quota.burst_seconds = 1.0;
+  BrokerOptions options;
+  options.admission = admission;
+  auto broker = std::make_shared<Broker>("cloud", options);
+  ASSERT_TRUE(broker->create_topic("t", TopicConfig{.partitions = 2}).ok());
+
+  for (const auto& target : client_targets(broker, fabric_, "t", 2, {},
+                                           admission)) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "edge");
+    // A batch larger than the whole burst depth is admitted against the
+    // full bucket and leaves the client's default quota in debt...
+    std::vector<Record> big;
+    for (int i = 0; i < 250; ++i) {
+      big.push_back(make_record("k" + std::to_string(i), 200));
+    }
+    ASSERT_TRUE(producer.send_batch("t", 0, std::move(big)).ok());
+
+    // ...so the next send is throttled. The producer waits out the
+    // broker's retry-after hint and succeeds, on either endpoint.
+    auto sent = producer.send("t", 0, make_record("tail"));
+    ASSERT_TRUE(sent.ok()) << sent.status().to_string();
+    EXPECT_EQ(sent.value().offset, 250u);
+    const auto stats = producer.stats();
+    EXPECT_EQ(stats.send_errors, 0u);
+    EXPECT_GE(stats.retries, 1u);
+    EXPECT_GE(stats.throttle_waits, 1u);
+    EXPECT_EQ(stats.records_sent, 251u);
+    EXPECT_EQ(target.endpoint->end_offset("t", 0).value(), 251u);
+  }
+}
+
 TEST_F(ClientTest, SubscribeSpreadsPartitionsAcrossConsumers) {
   for (const auto& target : targets()) {
     SCOPED_TRACE(target.name);

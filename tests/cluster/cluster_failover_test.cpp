@@ -124,8 +124,7 @@ TEST_F(ClusterFailoverTest, LeaderKillZeroCommittedOffsetLoss) {
   std::atomic<std::uint64_t> acked_count{0};
   std::thread producer_thread([&] {
     broker::Producer producer(
-        std::make_shared<ClusterEndpoint>(cluster, RetryConfig{},
-                                          AckPolicy::kQuorum),
+        std::make_shared<ClusterEndpoint>(cluster, AckPolicy::kQuorum),
         nullptr, "edge");
     for (std::uint64_t i = 0; !stop.load(); ++i) {
       const std::string key = "m" + std::to_string(i);
@@ -226,7 +225,7 @@ TEST_F(ClusterFailoverTest, OffsetsReplayUnderCommitRace) {
   std::vector<std::thread> committers;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     committers.emplace_back([&, g] {
-      // Retries with a fresh epoch per attempt.
+      // One attempt per call, each with a fresh epoch.
       ClusterEndpoint endpoint(cluster);
       for (std::uint64_t offset = 1; !stop.load(); ++offset) {
         if (endpoint.commit_offset(groups[g], tp, offset).ok()) {

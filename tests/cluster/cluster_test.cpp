@@ -249,12 +249,12 @@ TEST(ClusterClientTest, ProducerRetriesAcrossLeaderKill) {
   ASSERT_TRUE(leader.ok());
   ASSERT_TRUE(cluster->kill_broker(leader.value()).ok());
 
-  // The send lands after the failover via NOT_LEADER/UNAVAILABLE retries
-  // with capped backoff — no manual metadata handling.
+  // The send lands after the failover via the producer's NOT_LEADER/
+  // UNAVAILABLE retries with capped backoff — no manual metadata handling.
   auto sent = producer.send("events", 0, make_record("after"));
   ASSERT_TRUE(sent.ok()) << sent.status().to_string();
   EXPECT_GE(cluster->failover_count(), 1u);
-  EXPECT_GE(endpoint->stats().retries, 1u);
+  EXPECT_GE(producer.stats().retries, 1u);
   auto new_leader = cluster->leader("events", 0);
   ASSERT_TRUE(new_leader.ok());
   EXPECT_NE(new_leader.value(), leader.value());
@@ -311,9 +311,7 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
   one.partitions = 1;
   ASSERT_TRUE(cluster->create_topic("metrics", one).ok());
 
-  RetryConfig retry;
-  retry.max_attempts = 16;
-  auto endpoint = std::make_shared<ClusterEndpoint>(cluster, retry);
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
   broker::Producer producer(endpoint, nullptr, "edge");
 
   // The first batch is larger than the whole burst depth: admitted
@@ -325,14 +323,13 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
   ASSERT_TRUE(producer.send_batch("metrics", 0, std::move(big)).ok());
 
   // ...so the next send is throttled at the leader. The throttle is
-  // transient: the endpoint backs off by at least the broker's
-  // retry-after hint and succeeds — the caller never sees an error.
+  // transient: the producer waits out the broker's retry-after hint and
+  // succeeds — the caller never sees an error.
   ASSERT_TRUE(producer.send("metrics", 0, make_record("tail")).ok());
   const auto stats = producer.stats();
-  const auto retries = endpoint->stats();
   EXPECT_EQ(stats.send_errors, 0u);
-  EXPECT_GE(retries.retries, 1u);
-  EXPECT_GE(retries.throttle_waits, 1u);
+  EXPECT_GE(stats.retries, 1u);
+  EXPECT_GE(stats.throttle_waits, 1u);
   EXPECT_EQ(stats.records_sent, 251u);
 
   // Quotas gate clients only; replication is exempt, so the throttled

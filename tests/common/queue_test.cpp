@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -17,26 +18,6 @@ TEST(BoundedQueueTest, PushPopFifoOrder) {
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
-}
-
-TEST(BoundedQueueTest, TryPushFailsWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BoundedQueueTest, TryPopOnEmptyReturnsNullopt) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedQueueTest, PopForTimesOut) {
-  BoundedQueue<int> q(2);
-  const auto start = Clock::now();
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(20)).has_value());
-  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(15));
 }
 
 TEST(BoundedQueueTest, CloseUnblocksPoppers) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
 namespace pe {
 namespace {
@@ -18,41 +17,6 @@ TEST(ThreadPoolTest, ExecutesSubmittedJobs) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, SubmitWithResultReturnsValue) {
-  ThreadPool pool(2);
-  auto fut = pool.submit_with_result([] { return 6 * 7; });
-  EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitWithResultPropagatesException) {
-  ThreadPool pool(1);
-  auto fut = pool.submit_with_result(
-      []() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndicesExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPoolTest, ParallelForSingleItemRunsInline) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.parallel_for(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    count.fetch_add(1);
-  });
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ThreadPoolTest, SubmitAfterShutdownFails) {
   ThreadPool pool(1);
   pool.shutdown();
@@ -60,8 +24,8 @@ TEST(ThreadPoolTest, SubmitAfterShutdownFails) {
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
+  // With no thread at all the job would never run.
   ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
   std::atomic<bool> ran{false};
   pool.submit([&] { ran.store(true); });
   pool.shutdown();

@@ -241,6 +241,39 @@ TEST_F(PipelineTest, StopMidRunTerminatesCleanly) {
   EXPECT_LT(report.messages_produced, 10000u);
 }
 
+TEST_F(PipelineTest, DeviceRidesOutAPartitionOutage) {
+  // The topic goes offline mid-run for far longer than a device's send
+  // once waited (5 sleeps of 5 ms): the devices' producers ride it out by
+  // the client retry policy, and the run completes without an error.
+  auto config = small_config(2, 200);
+  config.produce_interval = std::chrono::milliseconds(1);
+  EdgeToCloudPipeline pipeline(config);
+  wire(pipeline);
+  ASSERT_TRUE(pipeline.start().ok());
+  while (pipeline.messages_produced() < 10) {
+    Clock::sleep_exact(std::chrono::milliseconds(1));
+  }
+  auto broker = broker_->broker();
+  const std::uint32_t partitions = broker->partition_count(config.topic);
+  ASSERT_GT(partitions, 0u);
+  for (std::uint32_t p = 0; p < partitions; ++p) {
+    ASSERT_TRUE(broker->set_partition_offline(config.topic, p, true).ok());
+  }
+  const std::uint64_t before = pipeline.messages_produced();
+  Clock::sleep_exact(std::chrono::milliseconds(100));
+  // Every device is held at its first send into the outage.
+  EXPECT_LE(pipeline.messages_produced(), before + 2);
+  for (std::uint32_t p = 0; p < partitions; ++p) {
+    ASSERT_TRUE(broker->set_partition_offline(config.topic, p, false).ok());
+  }
+  ASSERT_TRUE(pipeline.wait().ok());
+  pipeline.stop();
+  const auto report = pipeline.report();
+  EXPECT_EQ(report.messages_produced, 400u);
+  EXPECT_EQ(report.messages_processed, 400u);
+  EXPECT_EQ(report.processing_errors, 0u);
+}
+
 TEST_F(PipelineTest, DoubleStartRejected) {
   EdgeToCloudPipeline pipeline(small_config(1, 2));
   wire(pipeline);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "broker/consumer.h"
 
 namespace pe::mqtt {
@@ -63,6 +65,56 @@ TEST_F(BridgeTest, ForwardsMqttIntoKafkaTopic) {
     received += consumer.poll(std::chrono::milliseconds(50)).size();
   }
   EXPECT_EQ(received, 5u);
+}
+
+TEST_F(BridgeTest, ForwardsEveryMessageAcrossABrokerOutage) {
+  // The emulated retry budget (16 s) and the session's ack timeout pass
+  // in milliseconds of wall time. Declared first so the scale is restored
+  // only after the bridge has shut down.
+  ScopedTimeScale scale(1000.0);
+  BridgeConfig config;
+  config.mqtt_filter = "sensors/#";
+  config.kafka_topic = "ingest";
+  MqttKafkaBridge bridge(mqtt_, kafka_, fabric_, "edge", config);
+  ASSERT_TRUE(bridge.start().ok());
+
+  // The Kafka side goes down while the device keeps publishing.
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    ASSERT_TRUE(kafka_->set_partition_offline("ingest", p, true).ok());
+  }
+  MqttClient device(mqtt_, fabric_, "edge", "dev-1");
+  ASSERT_TRUE(device.connect().ok());
+  constexpr int kMessages = 20;
+  for (int i = 0; i < kMessages; ++i) {
+    Message m;
+    m.topic = "sensors/dev-1/temp";
+    m.payload = {static_cast<std::uint8_t>(i)};
+    m.qos = QoS::kAtLeastOnce;
+    ASSERT_TRUE(device.publish(std::move(m)).ok());
+  }
+  // Longer than the whole retry budget: the first forward gives up.
+  const auto outage_end = Clock::now() + std::chrono::milliseconds(60);
+  while (bridge.stats().forward_errors == 0 || Clock::now() < outage_end) {
+    Clock::sleep_exact(std::chrono::milliseconds(1));
+  }
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    ASSERT_TRUE(kafka_->set_partition_offline("ingest", p, false).ok());
+  }
+
+  // A message whose forward failed was never acked, so the session
+  // redelivers it: every payload reaches Kafka (duplicates allowed).
+  std::set<std::uint8_t> payloads;
+  broker::Consumer consumer(kafka_, fabric_, "cloud", "g");
+  ASSERT_TRUE(consumer.subscribe({"ingest"}).ok());
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (payloads.size() < kMessages && Clock::now() < deadline) {
+    for (const auto& r : consumer.poll(std::chrono::milliseconds(50))) {
+      ASSERT_EQ(r.record.value.size(), 1u);
+      payloads.insert(r.record.value.data()[0]);
+    }
+  }
+  EXPECT_EQ(payloads.size(), static_cast<std::size_t>(kMessages));
+  EXPECT_GE(bridge.stats().forward_errors, 1u);
 }
 
 TEST_F(BridgeTest, KeysByMqttTopicForStablePartitioning) {

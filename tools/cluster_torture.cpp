@@ -1,10 +1,10 @@
 // Cluster kill-loop torture: kill random brokers (leaders included) with
 // random torn tails, fail over, verify, restore, repeat.
 //
-// Each round produces a random batch at acks=quorum through a Producer
-// over a retrying ClusterEndpoint, commits consumer-group offsets through
-// the same endpoint, then power-cuts a randomly chosen member keeping a
-// random fraction of its unsynced tail.
+// Each round produces a random batch at acks=quorum through a retrying
+// Producer over a ClusterEndpoint, commits consumer-group offsets through
+// the same endpoint (one attempt each), then power-cuts a randomly chosen
+// member keeping a random fraction of its unsynced tail.
 // After the failover the replication contract must hold:
 //   1. every acked record is still readable at its offset with the exact
 //      key that was sent (zero committed-record loss);
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
 
   Rng rng(seed);
   auto endpoint = std::make_shared<cluster::ClusterEndpoint>(
-      bc, cluster::RetryConfig{}, cluster::AckPolicy::kQuorum);
+      bc, cluster::AckPolicy::kQuorum);
   broker::Producer producer(endpoint, nullptr, "torture");
   // What the cluster owes us: acked records and OK-acked offset commits.
   std::vector<std::map<std::uint64_t, std::string>> acked(kPartitions);
