@@ -136,8 +136,7 @@ class AdmissionController {
 
   /// Fetch-side quota gate (debt model): refuses with Status::Throttled
   /// while the client's fetch buckets are in debt from previous charges.
-  /// Empty client ids are exempt (internal fetches: replication,
-  /// long-poll wait probes).
+  /// Empty client ids are exempt (internal fetches: replication).
   Status admit_fetch(const std::string& client);
 
   /// Charges a served fetch against the client's fetch buckets. May

@@ -117,8 +117,8 @@ class Broker : public Endpoint {
   /// control (mirror of the produce path): a client whose fetch buckets
   /// are in debt is refused with Status::Throttled + retry-after hint,
   /// and a served fetch is charged for the bytes/records it actually
-  /// carried. Empty = internal caller (replication, long-poll wait
-  /// probes), quota-exempt.
+  /// carried. Empty = internal caller (replication), quota-exempt. A
+  /// fetch at the log end parks `spec.waiter` (PartitionLog::fetch).
   Result<std::vector<ConsumedRecord>> fetch(const std::string& topic,
                                             std::uint32_t partition,
                                             const FetchSpec& spec,
@@ -213,9 +213,6 @@ class Broker : public Endpoint {
   /// Sum of all partitions' in-memory hot-window bytes right now.
   std::uint64_t hot_window_bytes() const {
     return admission_.hot_window_bytes();
-  }
-  const AdmissionConfig& admission_config() const {
-    return admission_.config();
   }
 
  private:

@@ -13,19 +13,22 @@ namespace pe::broker {
 
 Consumer::Consumer(std::shared_ptr<Endpoint> endpoint,
                    std::shared_ptr<net::Fabric> fabric, net::SiteId site,
-                   std::string group, ConsumerConfig config)
+                   std::string group, ConsumerConfig config,
+                   std::shared_ptr<const std::atomic<bool>> stop)
     : endpoint_(std::move(endpoint)),
       fabric_(std::move(fabric)),
       site_(std::move(site)),
       group_(std::move(group)),
       id_(next_consumer_id()),
-      config_(config) {}
+      config_(config),
+      stop_(std::move(stop)) {}
 
 Consumer::~Consumer() { close(); }
 
 Status Consumer::subscribe(const std::vector<std::string>& topics) {
   auto joined = retry_transient(
-      [&] { return endpoint_->join_group(group_, id_, topics); });
+      [&] { return endpoint_->join_group(group_, id_, topics); }, nullptr,
+      stop_.get());
   if (!joined.ok()) return joined.status();
   subscribed_ = true;
   subscribed_topics_ = topics;
@@ -123,24 +126,17 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
   maybe_rebalance();
   stats_.polls += 1;
   std::vector<ConsumedRecord> out;
-  if (assignment_.empty()) {
-    if (timeout > Duration::zero()) Clock::sleep_scaled(timeout);
-    return out;
-  }
-
-  // The poll timeout is an emulated duration (like the sleep_scaled above
-  // for unassigned consumers): scale the wall deadline accordingly.
-  const auto deadline =
-      Clock::now() +
-      std::chrono::duration_cast<Duration>(timeout / Clock::time_scale());
+  // An unassigned member parks nothing, so it waits out the timeout.
+  const auto deadline = Clock::deadline_in(timeout);
   // fetch_max_bytes bounds the whole poll, not each partition: one shared
   // budget decrements as partitions fill it. (Per Kafka fetch semantics a
-  // partition always delivers at least one record when the remaining
-  // budget is smaller than it, so the response can overshoot by at most
-  // one record per partition — but never by a full per-partition budget,
-  // which is what handing every partition the full fetch_max_bytes did.)
+  // partition always delivers at least one record, so the response can
+  // overshoot by at most one record per partition.)
   std::uint64_t byte_budget = config_.fetch_max_bytes;
   while (true) {
+    // Read before the sweep, so the wait below misses no later change.
+    const std::uint64_t seen = waiter_->epoch();
+    bool repositioned = false;
     // One round-robin sweep over assigned partitions, non-blocking.
     for (std::size_t i = 0; i < assignment_.size(); ++i) {
       if (byte_budget == 0) break;
@@ -157,7 +153,7 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
       spec.offset = pos->second;
       spec.max_records = config_.max_poll_records - out.size();
       spec.max_bytes = byte_budget;
-      spec.max_wait = Duration::zero();
+      spec.waiter = waiter_;
       auto fetched = endpoint_->fetch(tp.topic, tp.partition, spec, id_);
       if (!fetched.ok()) {
         const Status& failure = fetched.status();
@@ -167,6 +163,7 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
           // out-of-range committed offset forever.
           if (auto reset = reset_position(tp)) {
             pos->second = *reset;
+            repositioned = true;
           } else {
             positions_.erase(pos);
           }
@@ -176,7 +173,6 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
           // retry-after hint) and end the poll with what we have.
           if (throttle != nullptr) *throttle = failure;
           stats_.throttled_polls += 1;
-          if (!out.empty()) uncommitted_delivery_ = true;
           return out;
         } else if (!failure.is_transient()) {
           // Transient failures (a leader moving) clear by a later sweep.
@@ -205,44 +201,18 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
       // whole handover is pointer-sized per record.
       out.insert(out.end(), std::make_move_iterator(records.begin()),
                  std::make_move_iterator(records.end()));
+      uncommitted_delivery_ = true;
       if (out.size() >= config_.max_poll_records) break;
     }
-    next_partition_index_ =
-        (next_partition_index_ + 1) % assignment_.size();
+    const std::size_t n = std::max<std::size_t>(1, assignment_.size());
+    next_partition_index_ = (next_partition_index_ + 1) % n;
 
     if (!out.empty() || Clock::now() >= deadline) break;
-
-    // Nothing available anywhere: long-poll on the first unpaused
-    // partition with a resolved position for a slice of the remaining
-    // budget, then re-sweep (data may arrive on any partition).
-    const auto remaining = deadline - Clock::now();
-    const auto slice = std::min<Duration>(
-        remaining, std::chrono::duration_cast<Duration>(
-                       std::chrono::milliseconds(5)));
-    const TopicPartition* wait_tp = nullptr;
-    FetchSpec spec;
-    for (std::size_t i = 0; i < assignment_.size() && !wait_tp; ++i) {
-      const auto& candidate =
-          assignment_[(next_partition_index_ + i) % assignment_.size()];
-      auto pos = positions_.find(candidate);
-      if (paused_.count(candidate) == 0 && pos != positions_.end()) {
-        wait_tp = &candidate;
-        spec.offset = pos->second;
-      }
-    }
-    if (wait_tp == nullptr) {
-      // Everything paused or unresolved: just wait out the slice.
-      Clock::sleep_exact(slice);
-      continue;
-    }
-    spec.max_records = 1;
-    spec.max_wait = slice;
-    (void)endpoint_->fetch(wait_tp->topic, wait_tp->partition, spec, {});
-    // Result intentionally ignored: the sweep at the top of the loop will
-    // re-fetch (and network-charge) anything that arrived.
+    // Nothing anywhere: every partition at its end parked the waiter, so
+    // a record on any of them ends the wait. A reset position reads now.
+    if (!repositioned) waiter_->wait(seen, deadline);
   }
 
-  if (!out.empty()) uncommitted_delivery_ = true;
   return out;
 }
 
@@ -289,9 +259,12 @@ bool Consumer::paused(const TopicPartition& tp) const {
 
 Status Consumer::commit() {
   for (const auto& position : positions_) {
-    auto s = retry_transient([&] {
-      return endpoint_->commit_offset(group_, position.first, position.second);
-    });
+    auto s = retry_transient(
+        [&] {
+          return endpoint_->commit_offset(group_, position.first,
+                                          position.second);
+        },
+        nullptr, stop_.get());
     if (!s.ok()) return s;
   }
   return Status::Ok();

@@ -4,9 +4,10 @@
 // endpoint's group coordinator, rebalancing on membership change) or
 // manual assignment. poll() fetches from assigned partitions round-robin
 // and charges fetched bytes to the endpoint->consumer fabric link (none
-// with a null fabric).
+// with a null fabric). An empty sweep waits on the consumer's Waiter.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -17,6 +18,7 @@
 
 #include "common/clock.h"
 #include "common/status.h"
+#include "common/waiter.h"
 #include "broker/endpoint.h"
 #include "network/fabric.h"
 
@@ -50,9 +52,11 @@ struct ConsumerStats {
 
 class Consumer {
  public:
+  /// A set `stop` flag ends the join and commit retries (CANCELLED).
   Consumer(std::shared_ptr<Endpoint> endpoint,
            std::shared_ptr<net::Fabric> fabric, net::SiteId site,
-           std::string group, ConsumerConfig config = {});
+           std::string group, ConsumerConfig config = {},
+           std::shared_ptr<const std::atomic<bool>> stop = nullptr);
   ~Consumer();
 
   Consumer(const Consumer&) = delete;
@@ -133,6 +137,7 @@ class Consumer {
   const std::string group_;
   const std::string id_;
   const ConsumerConfig config_;
+  const std::shared_ptr<const std::atomic<bool>> stop_;
 
   bool subscribed_ = false;
   std::vector<std::string> subscribed_topics_;
@@ -146,6 +151,8 @@ class Consumer {
   std::map<TopicPartition, std::uint64_t> positions_;
   std::set<TopicPartition> paused_;
   std::size_t next_partition_index_ = 0;
+  /// Parked by every fetch that finds nothing; poll() waits on it.
+  const std::shared_ptr<Waiter> waiter_ = std::make_shared<Waiter>();
   ConsumerStats stats_;
 };
 

@@ -34,7 +34,8 @@ class Endpoint {
                                         std::uint32_t partition,
                                         std::vector<Record> records,
                                         const std::string& client_id) = 0;
-  /// Reads from `spec.offset`, waiting up to `spec.max_wait` for data.
+  /// Reads from `spec.offset` without blocking. A read that returns no
+  /// records parks `spec.waiter` (when set) until the partition changes.
   virtual Result<std::vector<ConsumedRecord>> fetch(
       const std::string& topic, std::uint32_t partition, const FetchSpec& spec,
       const std::string& client_id) = 0;

@@ -93,6 +93,7 @@ Result<std::uint64_t> PartitionLog::append_entries(
   std::uint64_t first_offset;
   std::size_t accepted = records.size();
   Status durable = Status::Ok();
+  ParkedWaiters woken;
   {
     MutexLock lock(mutex_);
     first_offset = next_offset_;
@@ -125,8 +126,9 @@ Result<std::uint64_t> PartitionLog::append_entries(
     }
     publish_end_locked();
     enforce_retention_locked();
+    if (accepted > 0 && !parked_.empty()) woken.swap(parked_);
   }
-  if (accepted > 0) data_available_.notify_all();
+  notify_all(woken);
   if (!durable.ok()) return as_produce_error(durable);
   return first_offset;
 }
@@ -180,20 +182,18 @@ void PartitionLog::simulate_power_loss(double keep_fraction) {
 
 Result<std::vector<ConsumedRecord>> PartitionLog::fetch(
     const FetchSpec& spec) const {
-  UniqueLock lock(mutex_);
+  MutexLock lock(mutex_);
 
   if (spec.offset > next_offset_) {
     return Status::OutOfRange("fetch offset " + std::to_string(spec.offset) +
                               " beyond end offset " +
                               std::to_string(next_offset_));
   }
-
-  // Long-poll while the caller is at the log end.
-  if (spec.offset == next_offset_ && spec.max_wait > Duration::zero()) {
-    data_available_.wait_for(lock, spec.max_wait,
-                             [&]() PE_NO_THREAD_SAFETY_ANALYSIS {
-                               return next_offset_ > spec.offset;
-                             });
+  if (spec.offset == next_offset_) {
+    // Parked under the lock the next append publishes under, so that
+    // append cannot slip in unseen between this check and the park.
+    park(parked_, spec.waiter);
+    return std::vector<ConsumedRecord>{};
   }
 
   const std::uint64_t start =
@@ -255,10 +255,8 @@ std::uint64_t PartitionLog::hot_window_bytes() const {
 }
 
 void PartitionLog::enforce_retention() {
-  {
-    MutexLock lock(mutex_);
-    enforce_retention_locked();
-  }
+  MutexLock lock(mutex_);
+  enforce_retention_locked();
 }
 
 void PartitionLog::enforce_retention_locked() {
@@ -312,33 +310,18 @@ void PartitionLog::enforce_retention_locked() {
 
 std::uint64_t PartitionLog::offset_for_timestamp(std::uint64_t ts_ns) const {
   MutexLock lock(mutex_);
-  // The hot window answers when the target is inside it (binary search:
-  // broker timestamps are monotone in offset)...
-  if (!entries_.empty() && entries_.front().broker_timestamp_ns <= ts_ns) {
-    std::size_t lo = 0, hi = entries_.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (entries_[mid].broker_timestamp_ns < ts_ns) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo == entries_.size() ? next_offset_ : entries_[lo].offset;
+  // Broker timestamps are monotone in offset.
+  const auto first_at_or_after = std::partition_point(
+      entries_.begin(), entries_.end(),
+      [ts_ns](const Entry& e) { return e.broker_timestamp_ns < ts_ns; });
+  // Past the hot window's first record the answer is in it. At or before
+  // that record, the durable tier may still hold older records that
+  // qualify; an in-memory log answers with its start.
+  if (first_at_or_after == entries_.begin() && log_dir_) {
+    return log_dir_->offset_for_timestamp(ts_ns);
   }
-  // ...otherwise the answer is at or below the hot window's first record:
-  // ask the durable tier, which still holds the older records.
-  if (log_dir_) return log_dir_->offset_for_timestamp(ts_ns);
-  std::size_t lo = 0, hi = entries_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (entries_[mid].broker_timestamp_ns < ts_ns) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo == entries_.size() ? next_offset_ : entries_[lo].offset;
+  return first_at_or_after == entries_.end() ? next_offset_
+                                             : first_at_or_after->offset;
 }
 
 }  // namespace pe::broker

@@ -3,7 +3,8 @@
 // Semantics follow Kafka's partition model:
 //  - append assigns dense, monotonically increasing offsets;
 //  - fetch(offset) returns records at >= offset, bounded by count/bytes,
-//    optionally long-polling until data arrives;
+//    and never blocks: a fetch at the end parks the caller's Waiter,
+//    which the next append notifies;
 //  - retention trims the head; log_start_offset() moves forward, offsets
 //    are never reused.
 //
@@ -26,6 +27,7 @@
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "common/waiter.h"
 #include "broker/record.h"
 #include "storage/log_dir.h"
 #include "storage/storage_config.h"
@@ -52,7 +54,8 @@ struct FetchSpec {
   std::uint64_t offset = 0;
   std::size_t max_records = 512;
   std::uint64_t max_bytes = 8ull << 20;  // 8 MiB
-  Duration max_wait = Duration::zero();  // 0 => non-blocking
+  /// Optional: parked by a fetch that returns no records (DESIGN §10).
+  std::shared_ptr<Waiter> waiter;
 };
 
 class PartitionLog {
@@ -117,8 +120,9 @@ class PartitionLog {
   /// disk accepted.
   Result<std::uint64_t> append_replicated(std::vector<ConsumedRecord> records);
 
-  /// Returns records with offset >= spec.offset. Blocks up to spec.max_wait
-  /// if the requested offset is at the end of the log. Fetching below
+  /// Returns records with offset >= spec.offset, without blocking. At the
+  /// end of the log it returns none and parks spec.waiter (once per
+  /// waiter, as a weak reference) for the next append. Fetching below
   /// log_start_offset fails with OUT_OF_RANGE (the data was retained away);
   /// fetching above end_offset fails with OUT_OF_RANGE too.
   Result<std::vector<ConsumedRecord>> fetch(const FetchSpec& spec) const;
@@ -187,7 +191,8 @@ class PartitionLog {
   // tier's own mutex sits below this one (level 4), so writing through
   // while holding this lock is in order.
   mutable Mutex mutex_;
-  mutable CondVar data_available_;
+  /// Waiters of fetches that found the end; the next append takes them.
+  mutable ParkedWaiters parked_ PE_GUARDED_BY(mutex_);
   std::deque<Entry> entries_ PE_GUARDED_BY(mutex_);
   std::uint64_t next_offset_ PE_GUARDED_BY(mutex_) = 0;
   /// next_offset_ as of the last publish_end_locked(): stored once the

@@ -5,10 +5,12 @@
 namespace pe::broker {
 
 Producer::Producer(std::shared_ptr<Endpoint> endpoint,
-                   std::shared_ptr<net::Fabric> fabric, net::SiteId site)
+                   std::shared_ptr<net::Fabric> fabric, net::SiteId site,
+                   std::shared_ptr<const std::atomic<bool>> stop)
     : endpoint_(std::move(endpoint)),
       fabric_(std::move(fabric)),
-      site_(std::move(site)) {}
+      site_(std::move(site)),
+      stop_(std::move(stop)) {}
 
 Result<RecordMetadata> Producer::send(const std::string& topic,
                                       Record record) {
@@ -56,7 +58,7 @@ Result<RecordMetadata> Producer::send_records(
             topic, partition,
             std::vector<Record>(records.begin(), records.end()), id_);
       },
-      &tally);
+      &tally, stop_.get());
 
   {
     MutexLock lock(mutex_);

@@ -7,13 +7,13 @@
 // (one propagation delay), which is what makes batching pay off over the
 // WAN.
 //
-// Every send retries transient failures (a throttle, NOT_LEADER,
-// UNAVAILABLE, a quorum TIMEOUT, a partitioned link) by the one client
-// policy in broker/retry.h; each attempt crosses the network again. A
-// retry after an ack TIMEOUT can duplicate records: at-least-once, never
-// silently lossy.
+// Every send retries transient failures by the one client policy in
+// broker/retry.h, until the optional stop flag is set; each attempt
+// crosses the network again. A retry after an ack TIMEOUT can duplicate
+// records: at-least-once, never silently lossy.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -50,7 +50,8 @@ struct ProducerStats {
 class Producer {
  public:
   Producer(std::shared_ptr<Endpoint> endpoint,
-           std::shared_ptr<net::Fabric> fabric, net::SiteId site);
+           std::shared_ptr<net::Fabric> fabric, net::SiteId site,
+           std::shared_ptr<const std::atomic<bool>> stop = nullptr);
 
   /// Sends one record; partition chosen by the topic's partitioner.
   Result<RecordMetadata> send(const std::string& topic, Record record);
@@ -79,6 +80,7 @@ class Producer {
   std::shared_ptr<Endpoint> endpoint_;
   std::shared_ptr<net::Fabric> fabric_;
   const net::SiteId site_;
+  const std::shared_ptr<const std::atomic<bool>> stop_;
   const std::string id_ = next_producer_id();
   mutable Mutex mutex_;
   ProducerStats stats_ PE_GUARDED_BY(mutex_);

@@ -1,22 +1,14 @@
-// The one client retry policy. Every transient failure a client can see
-// (a throttle, NOT_LEADER, UNAVAILABLE, a quorum TIMEOUT) is retried here,
-// by the same rule, whether the client talks to a Broker or a
-// cluster::ClusterEndpoint:
-//
-//   - only Status::is_transient() failures are retried; anything else
-//     returns at once;
-//   - a failure carrying a retry-after hint (a broker throttle) waits
-//     exactly that hint, so a herd of producers cannot hammer an
-//     over-budget broker faster than its bucket refills;
-//   - any other transient failure backs off exponentially, 1 ms doubling
-//     to 64 ms;
-//   - after kRetryBudget retries the last failure is returned.
-//
-// All waits are emulated (Clock::sleep_scaled). Without hints the longest
-// a call can wait is 1+2+...+32 + 250 x 64 ms = 16.063 s emulated.
+// The one client retry policy (DESIGN §10, "One retry policy"): every
+// transient failure a client can see is retried here, by the same rule,
+// whether the client talks to a Broker or a cluster::ClusterEndpoint. A
+// throttle waits its retry-after hint; anything else transient backs off
+// 1 ms doubling to 64 ms (emulated); a set stop flag ends the wait within
+// 5 ms wall with CANCELLED. Without hints a call waits at most 16.063 s
+// emulated.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -48,8 +40,10 @@ Status failure_of(const Result<T>& r) {
 
 /// Runs `attempt` (returning Status or Result<T>) until it succeeds, fails
 /// permanently, or the retry budget runs out; returns the last outcome.
+/// A set `stop` flag ends the retries with CANCELLED.
 template <typename Attempt>
-auto retry_transient(Attempt&& attempt, RetryTally* tally = nullptr) {
+auto retry_transient(Attempt&& attempt, RetryTally* tally = nullptr,
+                     const std::atomic<bool>* stop = nullptr) {
   Duration backoff = kRetryBackoffMin;
   for (std::uint32_t retries = 0;; ++retries) {
     auto outcome = attempt();
@@ -61,11 +55,16 @@ auto retry_transient(Attempt&& attempt, RetryTally* tally = nullptr) {
       tally->retries += 1;
       if (hint > Duration::zero()) tally->throttle_waits += 1;
     }
-    if (hint > Duration::zero()) {
-      Clock::sleep_scaled(hint);
-    } else {
-      Clock::sleep_scaled(backoff);
+    const Duration pause = hint > Duration::zero() ? hint : backoff;
+    if (hint <= Duration::zero()) {
       backoff = std::min(backoff * 2, kRetryBackoffMax);
+    }
+    const auto stopped = [stop] {
+      return stop != nullptr && stop->load(std::memory_order_acquire);
+    };
+    if (!Clock::sleep_until(Clock::deadline_in(pause), stopped)) {
+      return decltype(outcome)(
+          Status::Cancelled("stopped while retrying " + failure.to_string()));
     }
   }
 }

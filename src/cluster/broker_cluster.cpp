@@ -188,9 +188,6 @@ Result<BrokerCluster::PartitionState*> BrokerCluster::find_partition_locked(
 
 Result<BrokerCluster::PartitionState*> BrokerCluster::led_partition_locked(
     BrokerId via, const std::string& topic, std::uint32_t partition) const {
-  if (via >= nodes_.size()) {
-    return Status::InvalidArgument("unknown broker id " + std::to_string(via));
-  }
   auto found = find_partition_locked(topic, partition);
   if (!found.ok()) return found.status();
   const PartitionMeta& meta = found.value()->meta;
@@ -293,25 +290,38 @@ Result<std::uint64_t> BrokerCluster::replicated_append_locked(
       ++wait.satisfied;
     }
   }
+  wake(ps);
   return first;
+}
+
+void BrokerCluster::park(PartitionState& ps,
+                         const std::shared_ptr<Waiter>& waiter) {
+  MutexLock lock(ps.park_mutex);
+  pe::park(ps.parked, waiter);
+}
+
+void BrokerCluster::wake(PartitionState& ps) {
+  UniqueLock lock(ps.park_mutex);
+  const ParkedWaiters taken = std::exchange(ps.parked, {});
+  lock.unlock();
+  notify_all(taken);
 }
 
 Status BrokerCluster::await_acks(const std::string& topic,
                                  std::uint32_t partition,
                                  const AckWait& wait) const {
-  Stopwatch sw;
-  const double budget_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-          options_.ack_timeout)
-          .count() /
-      Clock::time_scale();
+  if (wait.satisfied >= wait.required) return Status::Ok();
+  const auto deadline = Clock::deadline_in(options_.ack_timeout);
+  const auto waiter = std::make_shared<Waiter>();
   while (true) {
+    const std::uint64_t seen = waiter->epoch();
     std::size_t acked = 0;
     {
       ReaderLock lock(mutex_);
       auto found = find_partition_locked(topic, partition);
       if (!found.ok()) return found.status();
-      const PartitionState& ps = *found.value();
+      PartitionState& ps = *found.value();
+      park(ps, waiter);
       for (BrokerId r : wait.replicas) {
         const Node& node = nodes_[r];
         // Only a replica that can vouch for a valid copy counts: a dead
@@ -326,7 +336,7 @@ Status BrokerCluster::await_acks(const std::string& topic,
       }
     }
     if (acked >= wait.required) return Status::Ok();
-    if (sw.elapsed_ms() >= budget_ms) {
+    if (Clock::now() >= deadline) {
       tel::MetricsRegistry::global().counter("cluster.ack_timeouts").add();
       return Status::Timeout(
           "acks=" + std::string(to_string(wait.acks)) + " on " +
@@ -334,24 +344,13 @@ Status BrokerCluster::await_acks(const std::string& topic,
           std::to_string(wait.required) +
           " replicas caught up within the ack timeout");
     }
-    // Scaled poll interval: the wall budget above shrinks with the time
-    // scale, so the polling granularity must shrink with it — a fixed
-    // 100us wall sleep would eat the whole budget in a handful of polls
-    // at high speed-up.
-    Clock::sleep_scaled(std::chrono::microseconds(100));
+    waiter->wait(seen, deadline);
   }
 }
 
 Result<std::uint64_t> BrokerCluster::produce(
     BrokerId via, const std::string& topic, std::uint32_t partition,
-    std::vector<broker::Record> records) {
-  return produce(via, topic, partition, std::move(records),
-                 options_.default_acks);
-}
-
-Result<std::uint64_t> BrokerCluster::produce(
-    BrokerId via, const std::string& topic, std::uint32_t partition,
-    std::vector<broker::Record> records, AckPolicy acks,
+    std::vector<broker::Record> records, std::optional<AckPolicy> acks,
     const std::string& client_id) {
   if (records.empty()) return Status::InvalidArgument("empty produce batch");
   std::uint64_t first = 0;
@@ -363,8 +362,9 @@ Result<std::uint64_t> BrokerCluster::produce(
     PartitionState& ps = *found.value();
     const PartitionMeta meta = ps.meta;
     MutexLock append_lock(ps.append_mutex);
-    auto appended = replicated_append_locked(topic, partition, ps, meta,
-                                             records, acks, client_id, wait);
+    auto appended = replicated_append_locked(
+        topic, partition, ps, meta, records,
+        acks.value_or(options_.default_acks), client_id, wait);
     if (!appended.ok()) return appended.status();
     first = appended.value();
   }
@@ -373,7 +373,6 @@ Result<std::uint64_t> BrokerCluster::produce(
   static tel::Counter& records_produced =
       tel::MetricsRegistry::global().counter("cluster.records_produced");
   records_produced.add(records.size());
-  if (wait.satisfied >= wait.required) return first;
   if (auto s = await_acks(topic, partition, wait); !s.ok()) return s;
   return first;
 }
@@ -404,17 +403,28 @@ std::uint64_t BrokerCluster::high_watermark_locked(
 Result<std::vector<broker::ConsumedRecord>> BrokerCluster::fetch(
     BrokerId via, const std::string& topic, std::uint32_t partition,
     broker::FetchSpec spec, const std::string& client_id) const {
+  // Parked against the high watermark here, not in the leader's log.
+  const std::shared_ptr<Waiter> waiter = std::exchange(spec.waiter, nullptr);
   ReaderLock lock(mutex_);
   auto found = led_partition_locked(via, topic, partition);
-  if (!found.ok()) return found.status();
-  const PartitionState& ps = *found.value();
-  const std::uint64_t hw = high_watermark_locked(topic, partition, ps);
+  if (!found.ok()) {
+    // Elections take the lock this reader holds: none slips past the park.
+    auto known = find_partition_locked(topic, partition);
+    if (known.ok()) park(*known.value(), waiter);
+    return found.status();
+  }
+  PartitionState& ps = *found.value();
+  std::uint64_t hw = high_watermark_locked(topic, partition, ps);
+  if (spec.offset == hw && waiter) {
+    // Replica ends move under the shared lock: re-read after the park.
+    park(ps, waiter);
+    hw = high_watermark_locked(topic, partition, ps);
+  }
   if (spec.offset > hw) {
     return Status::OutOfRange("fetch offset " + std::to_string(spec.offset) +
                               " beyond high watermark " + std::to_string(hw));
   }
   if (spec.offset == hw) return std::vector<broker::ConsumedRecord>{};
-  spec.max_wait = Duration::zero();  // never long-poll under the cluster lock
   spec.max_records = static_cast<std::size_t>(
       std::min<std::uint64_t>(spec.max_records, hw - spec.offset));
   auto fetched =
@@ -519,7 +529,6 @@ Status BrokerCluster::commit_offset(const std::string& group,
     if (!appended.ok()) return appended.status();
     leader_node.broker->coordinator().restore_offset(group, tp, offset);
   }
-  if (wait.satisfied >= wait.required) return Status::Ok();
   return await_acks(kOffsetsTopic, 0, wait);
 }
 
@@ -707,6 +716,7 @@ void BrokerCluster::admin_phase() {
             node.broker->truncate_partition(topic, p, it->second).ok()) {
           tel::MetricsRegistry::global().counter("cluster.truncations").add();
           it = ps.pending_truncate.erase(it);
+          wake(ps);
         } else {
           ++it;
         }
@@ -763,6 +773,7 @@ void BrokerCluster::elect_locked(const std::string& topic,
     }
     ps.meta.leader = kNoBroker;
     ps.meta.isr.clear();
+    wake(ps);
     return;
   }
   if (auto it = ps.pending_truncate.find(winner);
@@ -799,6 +810,7 @@ void BrokerCluster::elect_locked(const std::string& topic,
                 1e6);
   }
   if (topic == kOffsetsTopic) replay_offsets_locked(winner);
+  wake(ps);
   PE_LOG_INFO("cluster: " << tp_str(topic, partition) << " leader -> "
                           << broker_name_for(winner) << " (epoch "
                           << ps.meta.epoch << ", end " << winner_end << ")");
@@ -904,6 +916,7 @@ std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase() {
                   "cluster.replicated_records");
           replicated_records.add(n);
         }
+        if (copied > 0) wake(ps);
         if (l_end - f_end <= kIsrMaxLagRecords) isr.push_back(r);
       }
       std::sort(isr.begin(), isr.end());

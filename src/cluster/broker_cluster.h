@@ -38,6 +38,7 @@
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "common/waiter.h"
 #include "broker/broker.h"
 #include "cluster/cluster_types.h"
 
@@ -87,18 +88,17 @@ class BrokerCluster {
   /// `client_id` feeds the leader broker's admission control (see
   /// Broker::produce); an over-quota client gets a transient
   /// Status::Throttled with a retry-after hint. Empty = internal caller.
+  /// `acks` defaults to the cluster's default_acks.
   Result<std::uint64_t> produce(BrokerId via, const std::string& topic,
                                 std::uint32_t partition,
                                 std::vector<broker::Record> records,
-                                AckPolicy acks,
+                                std::optional<AckPolicy> acks = std::nullopt,
                                 const std::string& client_id = {});
-  Result<std::uint64_t> produce(BrokerId via, const std::string& topic,
-                                std::uint32_t partition,
-                                std::vector<broker::Record> records);
 
   /// Reads from the leader, capped at the high watermark: records not yet
-  /// on a majority of replicas are invisible. Never long-polls.
-  /// `client_id` feeds the leader broker's fetch quota (Broker::fetch).
+  /// on a majority of replicas are invisible. Never blocks: a read that
+  /// returns no records parks `spec.waiter` (DESIGN §10). `client_id`
+  /// feeds the leader broker's fetch quota (Broker::fetch).
   Result<std::vector<broker::ConsumedRecord>> fetch(
       BrokerId via, const std::string& topic, std::uint32_t partition,
       broker::FetchSpec spec, const std::string& client_id = {}) const;
@@ -183,6 +183,9 @@ class BrokerCluster {
     /// record batches in the same order (offsets must match content
     /// across replicas).
     Mutex append_mutex;
+    /// Leaf lock over the fetches and ack waits that found nothing.
+    Mutex park_mutex;
+    ParkedWaiters parked PE_GUARDED_BY(park_mutex);
   };
 
   struct TopicState {
@@ -194,7 +197,7 @@ class BrokerCluster {
   /// Snapshot taken on the produce path while the metadata lock is held.
   /// `replicas` is the partition's full replica set by id — await_acks
   /// re-checks each replica's eligibility (alive, not isolated, no
-  /// pending divergence repair) under the metadata lock on every poll,
+  /// pending divergence repair) under the metadata lock on every wake,
   /// so a dead broker's frozen end offset or a deposed leader's
   /// divergent suffix can never satisfy an ack.
   struct AckWait {
@@ -255,6 +258,10 @@ class BrokerCluster {
       PE_REQUIRES_SHARED(mutex_);
   Status await_acks(const std::string& topic, std::uint32_t partition,
                     const AckWait& wait) const;
+  /// Park before the state waited on is read; wake() after every change
+  /// to a replica's end offset or to the leader.
+  static void park(PartitionState& ps, const std::shared_ptr<Waiter>& waiter);
+  static void wake(PartitionState& ps);
 
   const ClusterOptions options_;
   // Metadata lock, level 1 of the cluster domain (above every broker

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "cluster/shard_map.h"
-#include "common/clock.h"
 
 namespace pe::cluster {
 
@@ -20,28 +19,6 @@ ClusterEndpoint::ClusterEndpoint(std::shared_ptr<BrokerCluster> cluster,
     : cluster_(std::move(cluster)),
       acks_(acks.value_or(cluster_->options().default_acks)) {}
 
-Result<BrokerId> ClusterEndpoint::leader_for(const std::string& topic,
-                                             std::uint32_t partition) {
-  const broker::TopicPartition tp{topic, partition};
-  {
-    MutexLock lock(mutex_);
-    auto it = leaders_.find(tp);
-    if (it != leaders_.end()) return it->second;
-  }
-  auto leader = cluster_->leader(topic, partition);
-  if (!leader.ok()) return leader.status();
-  if (leader.value() == kNoBroker) return leaderless_status(topic, partition);
-  MutexLock lock(mutex_);
-  leaders_[tp] = leader.value();
-  return leader.value();
-}
-
-void ClusterEndpoint::forget_leader(const std::string& topic,
-                                    std::uint32_t partition) {
-  MutexLock lock(mutex_);
-  leaders_.erase(broker::TopicPartition{topic, partition});
-}
-
 Result<std::uint32_t> ClusterEndpoint::select_partition(
     const std::string& topic, const broker::Record& record) {
   const std::uint32_t partitions = cluster_->partition_count(topic);
@@ -54,42 +31,24 @@ Result<std::uint32_t> ClusterEndpoint::select_partition(
 Result<std::uint64_t> ClusterEndpoint::produce(
     const std::string& topic, std::uint32_t partition,
     std::vector<broker::Record> records, const std::string& client_id) {
-  auto leader = leader_for(topic, partition);
+  auto leader = cluster_->leader(topic, partition);
   if (!leader.ok()) return leader.status();
-  auto produced = cluster_->produce(leader.value(), topic, partition,
-                                    std::move(records), acks_, client_id);
-  if (!produced.ok()) {
-    // Leadership may have moved (NOT_LEADER carries the new leader; a
-    // dead leader shows as UNAVAILABLE until the election lands): drop
-    // the cache entry so the next attempt re-resolves.
-    forget_leader(topic, partition);
-  }
-  return produced;
+  return cluster_->produce(leader.value(), topic, partition,
+                           std::move(records), acks_, client_id);
 }
 
 Result<std::vector<broker::ConsumedRecord>> ClusterEndpoint::fetch(
     const std::string& topic, std::uint32_t partition,
     const broker::FetchSpec& spec, const std::string& client_id) {
-  const auto deadline =
-      Clock::now() +
-      std::chrono::duration_cast<Duration>(spec.max_wait / Clock::time_scale());
-  while (true) {
-    auto leader = leader_for(topic, partition);
-    Result<std::vector<broker::ConsumedRecord>> fetched =
-        leader.ok() ? cluster_->fetch(leader.value(), topic, partition, spec,
-                                      client_id)
-                    : leader.status();
-    const StatusCode code = fetched.status().code();
-    if (code == StatusCode::kNotLeader || code == StatusCode::kUnavailable) {
-      forget_leader(topic, partition);
+  for (int attempt = 0;; ++attempt) {
+    auto leader = cluster_->leader(topic, partition);
+    if (!leader.ok()) return leader.status();
+    auto fetched = cluster_->fetch(leader.value(), topic, partition, spec,
+                                   client_id);
+    // NOT_LEADER: leadership moved since the lookup; one more at once.
+    if (attempt == 1 || fetched.status().code() != StatusCode::kNotLeader) {
+      return fetched;
     }
-    // A transient failure (a leader moving) is waited out like no data.
-    const bool wait = fetched.ok() ? fetched.value().empty()
-                                   : fetched.status().is_transient();
-    if (!wait || Clock::now() >= deadline) return fetched;
-    // Scaled: the wall deadline above shrank by the time scale, so a
-    // fixed 200us wall sleep would eat it in a handful of steps.
-    Clock::sleep_scaled(std::chrono::microseconds(200));
   }
 }
 

@@ -1,20 +1,16 @@
-// broker::Endpoint over a replicated BrokerCluster. Routes produce/fetch
-// through a per-partition leader cache and group calls to the `__offsets`
-// leader. Every call makes one attempt: a produce that fails drops the
-// cached leader, so the next attempt re-resolves it. Retrying NOT_LEADER /
-// UNAVAILABLE / TIMEOUT is the clients' job (broker/retry.h), the same
-// rule as against a single Broker. A fetch with `max_wait` waits out a
-// leader move like no data. Thread-safe.
+// broker::Endpoint over a replicated BrokerCluster (DESIGN §10,
+// "Clients"). Routes produce/fetch to the partition's current leader,
+// looked up per call, and group calls to the `__offsets` leader. Every
+// call makes one attempt (a fetch after NOT_LEADER, two); retrying is
+// the clients' job (broker/retry.h). Thread-safe.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "broker/endpoint.h"
 #include "cluster/broker_cluster.h"
@@ -40,8 +36,7 @@ class ClusterEndpoint final : public broker::Endpoint {
                                 std::uint32_t partition,
                                 std::vector<broker::Record> records,
                                 const std::string& client_id) override;
-  /// Reads up to the high watermark; `spec.max_wait` is waited out here
-  /// in 200 us (emulated) steps, as the cluster fetch never long-polls.
+  /// Reads up to the high watermark.
   Result<std::vector<broker::ConsumedRecord>> fetch(
       const std::string& topic, std::uint32_t partition,
       const broker::FetchSpec& spec, const std::string& client_id) override;
@@ -79,16 +74,9 @@ class ClusterEndpoint final : public broker::Endpoint {
   }
 
  private:
-  Result<BrokerId> leader_for(const std::string& topic,
-                              std::uint32_t partition);
-  void forget_leader(const std::string& topic, std::uint32_t partition);
-
   const std::shared_ptr<BrokerCluster> cluster_;
   const AckPolicy acks_;
   const net::SiteId site_ = "cluster";
-  // Guards the leader cache only, never held across a cluster call.
-  Mutex mutex_;
-  std::map<broker::TopicPartition, BrokerId> leaders_ PE_GUARDED_BY(mutex_);
 };
 
 }  // namespace pe::cluster

@@ -6,6 +6,7 @@
 // time. Compute is never scaled — only injected waits are.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -39,6 +40,24 @@ class Clock {
   static double time_scale() {
     return static_cast<double>(scale_x1000().load(std::memory_order_relaxed)) /
            1000.0;
+  }
+
+  /// The wall deadline an *emulated* duration from now.
+  static TimePoint deadline_in(Duration emulated) {
+    return now() +
+           std::chrono::duration_cast<Duration>(emulated / time_scale());
+  }
+
+  /// Sleeps until the wall `deadline` in slices of at most 5 ms, ending
+  /// early once `stopped()` holds; false when stopped.
+  template <typename Stopped>
+  static bool sleep_until(TimePoint deadline, Stopped stopped) {
+    while (!stopped()) {
+      const Duration left = deadline - now();
+      if (left <= Duration::zero()) return true;
+      sleep_exact(std::min<Duration>(left, std::chrono::milliseconds(5)));
+    }
+    return false;
   }
 
   /// Sleep for an *emulated* duration: the actual sleep is d / time_scale.

@@ -152,12 +152,12 @@ class CondVar {
     native.release();
   }
 
-  template <typename Rep, typename Period, typename Pred>
-  bool wait_for(UniqueLock& lock,
-                const std::chrono::duration<Rep, Period>& timeout,
-                Pred pred) {
+  template <typename TimeSource, typename Dur, typename Pred>
+  bool wait_until(UniqueLock& lock,
+                  const std::chrono::time_point<TimeSource, Dur>& deadline,
+                  Pred pred) {
     std::unique_lock<std::mutex> native(lock.mu_.native(), std::adopt_lock);
-    const bool ok = cv_.wait_for(native, timeout, std::move(pred));
+    const bool ok = cv_.wait_until(native, deadline, std::move(pred));
     native.release();
     return ok;
   }

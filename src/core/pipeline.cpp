@@ -460,7 +460,7 @@ Status EdgeToCloudPipeline::producer_body(exec::TaskContext& tctx,
   if (edge_factory_ && config_.mode != DeploymentMode::kCloudCentric) {
     edge_process = edge_factory_();
   }
-  broker::Producer producer(broker_, fabric_, site);
+  broker::Producer producer(broker_, fabric_, site, tctx.stop_flag());
   std::unique_ptr<mqtt::MqttClient> mqtt_client;
   if (config_.ingest == IngestPath::kMqttBridge) {
     mqtt_client = std::make_unique<mqtt::MqttClient>(
@@ -527,11 +527,13 @@ Status EdgeToCloudPipeline::producer_body(exec::TaskContext& tctx,
       record.client_timestamp_ns = block.produced_ns;
       record.value = data::Codec::encode_shared(block);
       // The producer rides out transient broker failures (an offline
-      // partition, a partitioned link) by the client retry policy.
+      // partition, a partitioned link) by the client retry policy, until
+      // the task is stopped (CANCELLED, not an error).
       if (auto meta = producer.send(config_.topic, partition,
                                     std::move(record));
           !meta.ok()) {
-        errors_.fetch_add(1);
+        const bool stopped = meta.status().code() == StatusCode::kCancelled;
+        if (!stopped) errors_.fetch_add(1);
         return meta.status();
       }
     }
@@ -570,7 +572,8 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
   consumer_config.max_poll_records = 16;
   std::string group = "group-" + id_;
   if (stage != 0) group += "-" + std::to_string(stage);
-  broker::Consumer consumer(broker_, fabric_, site, group, consumer_config);
+  broker::Consumer consumer(broker_, fabric_, site, group, consumer_config,
+                            tctx.stop_flag());
   if (auto s = consumer.subscribe({topic}); !s.ok()) return s;
   consumers_joined_.fetch_add(1);
   // No fetch before the startup barrier releases: the first poll after it
@@ -582,7 +585,8 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
   // may publish ResultRecords.
   std::unique_ptr<broker::Producer> producer;
   if (!terminal || config_.emit_results) {
-    producer = std::make_unique<broker::Producer>(broker_, fabric_, site);
+    producer = std::make_unique<broker::Producer>(broker_, fabric_, site,
+                                                  tctx.stop_flag());
   }
 
   std::shared_ptr<ps::ParameterClient> param_client;
@@ -687,6 +691,9 @@ Status EdgeToCloudPipeline::processing_body(exec::TaskContext& tctx,
       // for the stage downstream.
       if (outcome.ok()) {
         state.out.fetch_add(1);
+      } else if (outcome.code() == StatusCode::kCancelled &&
+                 tctx.stop_requested()) {
+        break;  // a forward cut short by stop: not handled, not dead-lettered
       } else {
         state.errors.fetch_add(1);
         dead_letter_record(record, outcome);
@@ -736,9 +743,7 @@ Status EdgeToCloudPipeline::wait() {
   // run_timeout is an *emulated* duration: divide by the time scale so a
   // failure scenario at 4x speed times out (or recovers) identically to
   // the same scenario in real time.
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Duration>(
-                         config_.run_timeout / Clock::time_scale());
+  const auto deadline = Clock::deadline_in(config_.run_timeout);
   // Wait for producers.
   for (auto& handle : producer_handles_) {
     const auto remaining = deadline - Clock::now();

@@ -124,18 +124,11 @@ void ChaosEngine::run() {
     const auto deadline =
         t0 + std::chrono::duration_cast<Duration>(event.at /
                                                   Clock::time_scale());
-    while (Clock::now() < deadline) {
-      {
-        MutexLock lock(mutex_);
-        if (stop_) return;
-      }
-      Clock::sleep_exact(std::min<Duration>(deadline - Clock::now(),
-                                            std::chrono::milliseconds(5)));
-    }
-    {
+    const bool stopped = !Clock::sleep_until(deadline, [this] {
       MutexLock lock(mutex_);
-      if (stop_) return;
-    }
+      return stop_;
+    });
+    if (stopped) return;
 
     FaultRecord record;
     record.planned_at = event.at;

@@ -7,6 +7,11 @@ std::string link_key(const SiteId& from, const SiteId& to) {
   return from + std::string(1, '\0') + to;
 }
 
+/// A topology error, not an outage: not transient, so never retried.
+Status no_link(const SiteId& from, const SiteId& to) {
+  return Status::FailedPrecondition("no link " + from + "->" + to);
+}
+
 }  // namespace
 
 Fabric::Fabric(LinkSpec loopback) : loopback_spec_(std::move(loopback)) {}
@@ -113,7 +118,7 @@ Result<TransferResult> Fabric::transfer(const SiteId& from, const SiteId& to,
     }
     link = (from == to) ? loopback_for(from) : find_link(from, to);
     if (link == nullptr) {
-      return Status::Unavailable("no link " + from + "->" + to);
+      return no_link(from, to);
     }
   }
   if (link->partitioned()) {
@@ -134,7 +139,7 @@ Status Fabric::inject_link_fault(const SiteId& from, const SiteId& to,
     link = (from == to) ? loopback_for(from) : find_link(from, to);
   }
   if (link == nullptr) {
-    return Status::Unavailable("no link " + from + "->" + to);
+    return no_link(from, to);
   }
   link->set_fault(fault);
   return Status::Ok();
@@ -152,7 +157,7 @@ Result<Duration> Fabric::estimated_latency(const SiteId& from,
   }
   if (from == to) return loopback_spec_.mean_latency();
   const Link* link = find_link(from, to);
-  if (link == nullptr) return Status::Unavailable("no link " + from + "->" + to);
+  if (link == nullptr) return no_link(from, to);
   return link->spec().mean_latency();
 }
 
@@ -164,7 +169,7 @@ Result<double> Fabric::estimated_bandwidth_bps(const SiteId& from,
   }
   if (from == to) return loopback_spec_.mean_bandwidth_bps();
   const Link* link = find_link(from, to);
-  if (link == nullptr) return Status::Unavailable("no link " + from + "->" + to);
+  if (link == nullptr) return no_link(from, to);
   return link->spec().mean_bandwidth_bps();
 }
 

@@ -40,8 +40,9 @@ class Fabric {
 
   /// Moves `bytes` from one site to another, blocking the caller for the
   /// emulated transfer time. Unknown sites fail with NOT_FOUND; a missing
-  /// inter-site link fails with UNAVAILABLE (no default route — topology
-  /// must be explicit, matching the paper's explicit resource allocation).
+  /// inter-site link fails with FAILED_PRECONDITION (no default route —
+  /// topology must be explicit, matching the paper's explicit resource
+  /// allocation); a partitioned link fails with UNAVAILABLE.
   Result<TransferResult> transfer(const SiteId& from, const SiteId& to,
                                   std::uint64_t bytes);
 
@@ -58,7 +59,8 @@ class Fabric {
   /// Applies a runtime fault to the directed link from->to (loopback when
   /// the sites are equal). While `fault.partitioned`, transfer() on that
   /// link fails with UNAVAILABLE; degradation factors scale the sampled
-  /// latency/bandwidth. NOT_FOUND / UNAVAILABLE when the link is unknown.
+  /// latency/bandwidth. NOT_FOUND / FAILED_PRECONDITION when the site /
+  /// link is unknown.
   Status inject_link_fault(const SiteId& from, const SiteId& to,
                            LinkFault fault);
   /// Restores the link to its nominal spec.

@@ -64,16 +64,6 @@ void Link::set_fault(LinkFault fault) {
   fault_ = fault;
 }
 
-void Link::clear_fault() {
-  MutexLock lock(mutex_);
-  fault_ = LinkFault{};
-}
-
-LinkFault Link::fault() const {
-  MutexLock lock(mutex_);
-  return fault_;
-}
-
 bool Link::partitioned() const {
   MutexLock lock(mutex_);
   return fault_.partitioned;

@@ -81,9 +81,6 @@ class Link {
 
   /// Applies/replaces the runtime fault (chaos injection).
   void set_fault(LinkFault fault);
-  /// Restores nominal spec behaviour.
-  void clear_fault();
-  LinkFault fault() const;
   /// A partitioned link refuses transfers (Fabric surfaces UNAVAILABLE).
   bool partitioned() const;
 

@@ -77,11 +77,9 @@ Result<VersionedValue> ParameterServer::watch(const std::string& key,
   // `timeout` is an emulated duration, like Consumer::poll's: scale the
   // wall-clock wait so watchers stay consistent with the rest of the
   // stack under PE_TIME_SCALE-accelerated experiments.
-  const auto wall_timeout =
-      std::chrono::duration_cast<Duration>(timeout / Clock::time_scale());
   UniqueLock lock(mutex_);
-  const bool fresh = updated_.wait_for(
-      lock, wall_timeout, [&]() PE_NO_THREAD_SAFETY_ANALYSIS {
+  const bool fresh = updated_.wait_until(
+      lock, Clock::deadline_in(timeout), [&]() PE_NO_THREAD_SAFETY_ANALYSIS {
         auto it = entries_.find(key);
         return it != entries_.end() && it->second.version > last_seen;
       });

@@ -28,11 +28,9 @@ Status Pilot::wait_active_for(Duration timeout) const {
   // Same inconsistency as ParameterServer::watch had: pilot startup
   // delays are emulated (scaled) sleeps, so the provisioning deadline
   // must scale identically or fast experiments time out spuriously.
-  const auto wall_timeout =
-      std::chrono::duration_cast<Duration>(timeout / Clock::time_scale());
   UniqueLock lock(mutex_);
-  const bool done = state_cv_.wait_for(
-      lock, wall_timeout, [this]() PE_NO_THREAD_SAFETY_ANALYSIS {
+  const bool done = state_cv_.wait_until(
+      lock, Clock::deadline_in(timeout), [this]() PE_NO_THREAD_SAFETY_ANALYSIS {
         return state_ != PilotState::kNew && state_ != PilotState::kSubmitted;
       });
   if (!done) return Status::Timeout("pilot " + id_ + " still provisioning");

@@ -60,17 +60,10 @@ void PilotManager::provision(PilotPtr pilot) {
   // whole emulated boot time.
   const auto delay = std::chrono::duration_cast<Duration>(
       outcome.value().startup_delay * options_.startup_delay_factor);
-  const auto scaled_deadline =
-      Clock::now() + std::chrono::duration_cast<Duration>(
-                         delay / Clock::time_scale());
-  while (Clock::now() < scaled_deadline) {
-    if (pilot->state() != PilotState::kSubmitted) return;  // canceled
-    const auto remaining = scaled_deadline - Clock::now();
-    Clock::sleep_exact(std::min<Duration>(
-        remaining, std::chrono::milliseconds(10)));
-  }
-
-  if (pilot->state() != PilotState::kSubmitted) return;  // canceled
+  const bool canceled = !Clock::sleep_until(Clock::deadline_in(delay), [&] {
+    return pilot->state() != PilotState::kSubmitted;
+  });
+  if (canceled) return;
 
   std::shared_ptr<exec::Cluster> cluster;
   std::shared_ptr<broker::Broker> broker;
@@ -114,20 +107,10 @@ std::uint64_t PilotManager::reprovision_count() const {
 }
 
 bool PilotManager::sleep_scaled_interruptible(Duration emulated) {
-  const auto actual = std::chrono::duration_cast<Duration>(
-      emulated / Clock::time_scale());
-  const auto deadline = Clock::now() + actual;
-  while (Clock::now() < deadline) {
-    {
-      MutexLock lock(mutex_);
-      if (shutdown_) return false;
-    }
-    const auto remaining = deadline - Clock::now();
-    Clock::sleep_exact(std::min<Duration>(
-        remaining, std::chrono::milliseconds(5)));
-  }
-  MutexLock lock(mutex_);
-  return !shutdown_;
+  return Clock::sleep_until(Clock::deadline_in(emulated), [this] {
+    MutexLock lock(mutex_);
+    return shutdown_;
+  });
 }
 
 void PilotManager::monitor_loop() {

@@ -7,6 +7,7 @@
 
 #include "broker/producer.h"
 #include "common/logging.h"
+#include "common/waiter.h"
 #include "telemetry/metrics.h"
 
 namespace pe::scenario {
@@ -138,18 +139,18 @@ void FleetGenerator::consumer_loop() {
   const std::uint32_t n = std::max<std::uint32_t>(1, config_.partitions);
   std::vector<std::uint64_t> positions(n, 0);
   const auto drain_deadline =
-      Clock::now() + std::chrono::duration_cast<Duration>(
-                         (config_.duration + config_.drain_timeout) /
-                         Clock::time_scale());
+      Clock::deadline_in(config_.duration + config_.drain_timeout);
   auto& lag_gauge = tel::MetricsRegistry::global().gauge("fleet.consumer_lag");
+  const auto waiter = std::make_shared<Waiter>();
   while (true) {
+    const std::uint64_t seen = waiter->epoch();
     bool any = false;
     for (std::uint32_t p = 0; p < n; ++p) {
       broker::FetchSpec spec;
       spec.offset = positions[p];
       spec.max_records = 4096;
       spec.max_bytes = 8ull << 20;
-      spec.max_wait = Duration::zero();
+      spec.waiter = waiter;
       auto fetched = broker_->fetch(config_.topic, p, spec);
       if (!fetched.ok() || fetched.value().empty()) continue;
       any = true;
@@ -173,7 +174,8 @@ void FleetGenerator::consumer_loop() {
       if (consumed >= total_end_offsets()) return;  // fully drained
       if (Clock::now() >= drain_deadline) return;   // give up: final_lag > 0
     }
-    if (!any) Clock::sleep_scaled(config_.tick / 2);
+    // Idle: any append ends the wait; half a tick bounds it (gauges, drain).
+    if (!any) waiter->wait(seen, Clock::deadline_in(config_.tick / 2));
   }
 }
 

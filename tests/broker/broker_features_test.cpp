@@ -2,6 +2,10 @@
 // liveness (heartbeats / session eviction).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <vector>
+
 #include "broker/broker.h"
 #include "broker/consumer.h"
 #include "broker/producer.h"
@@ -60,6 +64,50 @@ TEST(OffsetForTimestampTest, FindsFirstAtOrAfter) {
 TEST(OffsetForTimestampTest, EmptyLogReturnsEnd) {
   PartitionLog log;
   EXPECT_EQ(log.offset_for_timestamp(123), 0u);
+}
+
+/// Appends `n` records and returns the broker timestamp of each.
+std::vector<std::uint64_t> append_stamped(PartitionLog& log, int n) {
+  std::vector<std::uint64_t> stamps;
+  for (int i = 0; i < n; ++i) {
+    FetchSpec spec;
+    spec.offset = log.append(make_record("k" + std::to_string(i))).value();
+    stamps.push_back(log.fetch(spec).value().front().broker_timestamp_ns);
+    Clock::sleep_exact(std::chrono::microseconds(20));
+  }
+  return stamps;
+}
+
+TEST(OffsetForTimestampTest, TrimmedInMemoryLogAnswersItsStart) {
+  PartitionLog log(RetentionPolicy{.max_records = 3});
+  const auto stamps = append_stamped(log, 6);
+  ASSERT_EQ(log.log_start_offset(), 3u);
+  // Older than every retained record, trimmed ones included.
+  EXPECT_EQ(log.offset_for_timestamp(0), 3u);
+  EXPECT_EQ(log.offset_for_timestamp(stamps[1]), 3u);
+  EXPECT_EQ(log.offset_for_timestamp(stamps[4]), 4u);
+  EXPECT_EQ(log.offset_for_timestamp(stamps[5] + 1), 6u);
+}
+
+TEST(OffsetForTimestampTest, AnswerBelowTheHotWindowComesFromDisk) {
+  char dir_template[] = "/tmp/pe_oft_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  {
+    RetentionPolicy retention;
+    retention.hot_max_bytes = 1;  // the hot window keeps one record
+    PartitionLog log(retention, dir);
+    ASSERT_TRUE(log.durable());
+    const auto stamps = append_stamped(log, 8);
+    ASSERT_EQ(log.log_start_offset(), 0u);
+    ASSERT_LT(log.hot_window_bytes() * 4, log.byte_size());  // trimmed
+    EXPECT_EQ(log.offset_for_timestamp(0), 0u);
+    EXPECT_EQ(log.offset_for_timestamp(stamps[2]), 2u);
+    EXPECT_EQ(log.offset_for_timestamp(stamps[2] + 1), 3u);
+    EXPECT_EQ(log.offset_for_timestamp(stamps[7]), 7u);
+    EXPECT_EQ(log.offset_for_timestamp(stamps[7] + 1), 8u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 class LivenessTest : public ::testing::Test {

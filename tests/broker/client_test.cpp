@@ -3,7 +3,9 @@
 // client_targets.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <thread>
 
 #include "client_targets.h"
 #include "broker/consumer.h"
@@ -96,6 +98,18 @@ TEST_F(ClientTest, EmptyBatchRejected) {
 TEST_F(ClientTest, SendToUnknownTopicCountsError) {
   Producer producer(broker_, fabric_, "edge");
   EXPECT_FALSE(producer.send("nope", make_record("k")).ok());
+  EXPECT_EQ(producer.stats().send_errors, 1u);
+}
+
+TEST_F(ClientTest, SendWithoutLinkFailsAtOnce) {
+  // A missing link is a topology error, not an outage: the send fails
+  // FAILED_PRECONDITION on its first attempt instead of retrying the
+  // whole budget.
+  ASSERT_TRUE(fabric_->add_site({.id = "island"}).ok());
+  Producer producer(broker_, fabric_, "island");
+  auto sent = producer.send("t", 0, make_record("k"));
+  EXPECT_EQ(sent.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(producer.stats().retries, 0u);
   EXPECT_EQ(producer.stats().send_errors, 1u);
 }
 
@@ -317,6 +331,41 @@ TEST_F(ClientTest, PollTimeoutWithNoDataReturnsEmpty) {
   Stopwatch sw;
   EXPECT_TRUE(consumer.poll(std::chrono::milliseconds(30)).empty());
   EXPECT_GE(sw.elapsed_ms(), 25.0);
+}
+
+TEST_F(ClientTest, IdleConsumerWakesOnAnyAssignedPartition) {
+  // One consumer holds both partitions and is already waiting in poll()
+  // when a record lands on one of them, each partition in turn: the
+  // record is delivered as soon as it is appended, whichever partition
+  // it lands on.
+  using namespace std::chrono_literals;
+  for (const auto& target : targets()) {
+    SCOPED_TRACE(target.name);
+    Producer producer(target.endpoint, target.fabric, "edge");
+    Consumer consumer(target.endpoint, target.fabric, "cloud", "g-idle");
+    ASSERT_TRUE(consumer.assign({{"t", 0}, {"t", 1}}).ok());
+    std::vector<double> delay_ms[2];
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::uint32_t partition = trial % 2;
+      std::thread sender([&] {
+        std::this_thread::sleep_for(2ms);  // the consumer is waiting by now
+        EXPECT_TRUE(producer.send("t", partition, make_record("k")).ok());
+      });
+      const auto records = consumer.poll(1s);
+      const std::uint64_t received_ns = Clock::now_ns();
+      sender.join();
+      ASSERT_EQ(records.size(), 1u);
+      EXPECT_EQ(records[0].partition, partition);
+      // From the broker's append stamp to the poll's return.
+      delay_ms[partition].push_back(
+          static_cast<double>(received_ns - records[0].broker_timestamp_ns) /
+          1e6);
+    }
+    for (auto& delays : delay_ms) {
+      std::sort(delays.begin(), delays.end());
+      EXPECT_LT(delays[delays.size() / 2], 1.0);
+    }
+  }
 }
 
 TEST_F(ClientTest, EvictedConsumerFailsOverWithoutLossOrDuplication) {

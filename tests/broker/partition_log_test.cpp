@@ -83,18 +83,25 @@ TEST(PartitionLogTest, FetchBeyondEndIsOutOfRange) {
   EXPECT_EQ(log.fetch(spec).status().code(), StatusCode::kOutOfRange);
 }
 
+// A fetch never blocks. The long poll is the caller's: read the waiter's
+// epoch, fetch (at the end this parks the waiter), wait, fetch again.
 TEST(PartitionLogTest, LongPollWakesOnAppend) {
   PartitionLog log;
   FetchSpec spec;
   spec.offset = 0;
-  spec.max_wait = std::chrono::seconds(5);
+  spec.waiter = std::make_shared<Waiter>();
 
+  Stopwatch sw;
+  const std::uint64_t seen = spec.waiter->epoch();
+  auto result = log.fetch(spec);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().empty());
   std::thread appender([&log] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     (void)log.append(make_record("late"));
   });
-  Stopwatch sw;
-  auto result = log.fetch(spec);
+  EXPECT_TRUE(spec.waiter->wait(seen, Clock::now() + std::chrono::seconds(5)));
+  result = log.fetch(spec);
   appender.join();
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().size(), 1u);
@@ -104,12 +111,39 @@ TEST(PartitionLogTest, LongPollWakesOnAppend) {
 TEST(PartitionLogTest, LongPollTimesOutEmpty) {
   PartitionLog log;
   FetchSpec spec;
-  spec.max_wait = std::chrono::milliseconds(30);
+  spec.waiter = std::make_shared<Waiter>();
   Stopwatch sw;
+  const std::uint64_t seen = spec.waiter->epoch();
   auto result = log.fetch(spec);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().empty());
+  EXPECT_FALSE(spec.waiter->wait(
+      seen, Clock::now() + std::chrono::milliseconds(30)));
   EXPECT_GE(sw.elapsed_ms(), 25.0);
+}
+
+TEST(PartitionLogTest, WaiterParksOnceAndWeakly) {
+  PartitionLog log;
+  FetchSpec spec;
+  spec.waiter = std::make_shared<Waiter>();
+  // Parked twice at the end: one append notifies it once.
+  ASSERT_TRUE(log.fetch(spec).ok());
+  ASSERT_TRUE(log.fetch(spec).ok());
+  ASSERT_TRUE(log.append(make_record("a")).ok());
+  EXPECT_EQ(spec.waiter->epoch(), 1u);
+  // The list was taken: a second append notifies nobody.
+  ASSERT_TRUE(log.append(make_record("b")).ok());
+  EXPECT_EQ(spec.waiter->epoch(), 1u);
+  // A fetch that returns records parks nothing.
+  ASSERT_EQ(log.fetch(spec).value().size(), 2u);
+  ASSERT_TRUE(log.append(make_record("c")).ok());
+  EXPECT_EQ(spec.waiter->epoch(), 1u);
+  // The log holds a weak reference: a waiter gone before the append is
+  // skipped.
+  spec.offset = log.end_offset();
+  ASSERT_TRUE(log.fetch(spec).ok());
+  spec.waiter.reset();
+  EXPECT_TRUE(log.append(make_record("d")).ok());
 }
 
 TEST(PartitionLogTest, RetentionByRecordsTrimsHead) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -418,6 +419,49 @@ TEST(ClusterClientTest, OffsetForTimestampSurvivesLeaderKill) {
   ASSERT_TRUE(consumer.assign({tp}).ok());
   ASSERT_TRUE(consumer.seek_to_timestamp(tp, ts).ok());
   EXPECT_EQ(consumer.position(tp).value(), before.value());
+}
+
+TEST(ClusterClientTest, ConsumerKeepsDeliveringAcrossLeaderKill) {
+  // The consumer polls with a long timeout while the leader dies under a
+  // steady producer. Its waiter is parked with the partition, so the
+  // election and each later append wake it: no poll sits out its timeout.
+  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+  ASSERT_TRUE(cluster->create_topic("events").ok());
+  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
+  broker::Producer producer(endpoint, nullptr, "edge");
+  broker::Consumer consumer(endpoint, nullptr, "cloud", "g-kill");
+  ASSERT_TRUE(consumer.assign({{"events", 0}}).ok());
+
+  constexpr int kRecords = 20;
+  std::thread sender([&] {
+    for (int i = 0; i < kRecords; ++i) {
+      if (i == kRecords / 2) {
+        EXPECT_TRUE(
+            cluster->kill_broker(cluster->leader("events", 0).value()).ok());
+      }
+      EXPECT_TRUE(
+          producer.send("events", 0, make_record("k" + std::to_string(i)))
+              .ok());
+      std::this_thread::sleep_for(2ms);
+    }
+  });
+  std::vector<std::string> keys;
+  Stopwatch total;
+  while (keys.size() < kRecords && total.elapsed_ms() < 10'000.0) {
+    Stopwatch poll;
+    for (const auto& r : consumer.poll(2s)) {
+      if (keys.empty() || keys.back() != r.record.key) {
+        keys.push_back(r.record.key);
+      }
+    }
+    EXPECT_LT(poll.elapsed_ms(), 1000.0);
+  }
+  sender.join();
+  EXPECT_GE(cluster->failover_count(), 1u);
+  ASSERT_EQ(keys.size(), static_cast<std::size_t>(kRecords));
+  for (int i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(keys[i], "k" + std::to_string(i));
+  }
 }
 
 TEST(ClusterClientTest, LatestConsumerOnLeaderlessPartitionDoesNotRewind) {

@@ -140,7 +140,9 @@ TEST_F(LockOrderDeathTest, CondVarReacquireInversionIsReported) {
         MutexLock lh(held);  // m -> held
         // The wait drops m and takes it back while `held` is still held:
         // held -> m closes the cycle on the re-acquire.
-        cv.wait_for(lm, std::chrono::milliseconds(1), [] { return false; });
+        cv.wait_until(lm, std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(1),
+                      [] { return false; });
         std::exit(0);
       },
       ::testing::ExitedWithCode(kTsanExitCode), "lock-order-inversion");

@@ -274,6 +274,31 @@ TEST_F(PipelineTest, DeviceRidesOutAPartitionOutage) {
   EXPECT_EQ(report.processing_errors, 0u);
 }
 
+TEST_F(PipelineTest, StopDuringPartitionOutageReturnsPromptly) {
+  // Every device is held in its send's retries by an offline topic. The
+  // pipeline's stop flag ends those retries at once, instead of leaving
+  // stop() to wait out a retry budget of 16 s emulated.
+  ScopedTimeScale real_time(1.0);
+  auto config = small_config(2, 100);
+  EdgeToCloudPipeline pipeline(config);
+  wire(pipeline);
+  auto broker = broker_->broker();
+  ASSERT_TRUE(
+      broker->create_topic(config.topic, broker::TopicConfig{.partitions = 2})
+          .ok());
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    ASSERT_TRUE(broker->set_partition_offline(config.topic, p, true).ok());
+  }
+  ASSERT_TRUE(pipeline.start().ok());
+  Clock::sleep_exact(std::chrono::milliseconds(20));
+  EXPECT_EQ(pipeline.messages_produced(), 0u);
+  Stopwatch sw;
+  pipeline.stop();
+  EXPECT_LT(sw.elapsed_ms(), 100.0);
+  EXPECT_FALSE(pipeline.running());
+  EXPECT_EQ(pipeline.report().processing_errors, 0u);
+}
+
 TEST_F(PipelineTest, DoubleStartRejected) {
   EdgeToCloudPipeline pipeline(small_config(1, 2));
   wire(pipeline);

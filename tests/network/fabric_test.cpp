@@ -63,12 +63,15 @@ TEST(FabricTest, TransferAcrossLink) {
   EXPECT_GE(result.value().propagation, std::chrono::milliseconds(1));
 }
 
-TEST(FabricTest, TransferWithoutLinkIsUnavailable) {
+TEST(FabricTest, TransferWithoutLinkFailsPrecondition) {
+  // A missing link is a topology error: not transient, so no client
+  // retries it.
   Fabric fabric;
   ASSERT_TRUE(fabric.add_site({.id = "a"}).ok());
   ASSERT_TRUE(fabric.add_site({.id = "c"}).ok());
-  EXPECT_EQ(fabric.transfer("a", "c", 10).status().code(),
-            StatusCode::kUnavailable);
+  const Status status = fabric.transfer("a", "c", 10).status();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(status.is_transient());
 }
 
 TEST(FabricTest, TransferUnknownSiteIsNotFound) {
@@ -105,7 +108,7 @@ TEST(FabricTest, EstimateForMissingLinkFails) {
   ASSERT_TRUE(fabric.add_site({.id = "a"}).ok());
   ASSERT_TRUE(fabric.add_site({.id = "b"}).ok());
   EXPECT_EQ(fabric.estimated_latency("a", "b").status().code(),
-            StatusCode::kUnavailable);
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(FabricTest, LinkStatsKeyedByDirection) {
