@@ -72,7 +72,6 @@ int main() {
   options.admission.max_hot_window_bytes = cap_bytes;
   if (quota_mbps > 0.0) {
     options.admission.default_quota.bytes_per_sec = quota_mbps * 1e6;
-    options.admission.default_quota.burst_seconds = 1.0;
   }
   auto broker =
       std::make_shared<broker::Broker>("lrz-eu", options, "fleet-broker");

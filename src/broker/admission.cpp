@@ -9,8 +9,6 @@ namespace {
 
 constexpr double kNsPerSec = 1e9;
 
-Duration at_least(Duration d, Duration floor) { return std::max(d, floor); }
-
 }  // namespace
 
 // --- TokenBucket -----------------------------------------------------------
@@ -66,15 +64,13 @@ AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(config) {}
 
 AdmissionController::ClientState AdmissionController::make_state(
-    const ClientQuota& quota) const {
+    const ClientQuota& quota) {
   ClientState state;
-  const double burst_s = std::max(quota.burst_seconds, 1e-3);
   if (quota.bytes_per_sec > 0) {
-    state.bytes.emplace(quota.bytes_per_sec, quota.bytes_per_sec * burst_s);
+    state.bytes.emplace(quota.bytes_per_sec, quota.bytes_per_sec);
   }
   if (quota.records_per_sec > 0) {
-    state.records.emplace(quota.records_per_sec,
-                          quota.records_per_sec * burst_s);
+    state.records.emplace(quota.records_per_sec, quota.records_per_sec);
   }
   return state;
 }
@@ -91,27 +87,11 @@ std::uint64_t AdmissionController::advance_clock(ClientState& state) {
   return state.emulated_ns;
 }
 
-void AdmissionController::apply_fetch_quota(ClientState& state,
-                                            const ClientQuota& quota) {
-  state.fetch_bytes.reset();
-  state.fetch_records.reset();
-  const double burst_s = std::max(quota.burst_seconds, 1e-3);
-  if (quota.bytes_per_sec > 0) {
-    state.fetch_bytes.emplace(quota.bytes_per_sec,
-                              quota.bytes_per_sec * burst_s);
-  }
-  if (quota.records_per_sec > 0) {
-    state.fetch_records.emplace(quota.records_per_sec,
-                                quota.records_per_sec * burst_s);
-  }
-}
-
 AdmissionController::ClientState& AdmissionController::state_for(
     const std::string& client) {
   auto it = clients_.find(client);
   if (it == clients_.end()) {
     it = clients_.emplace(client, make_state(config_.default_quota)).first;
-    apply_fetch_quota(it->second, config_.default_fetch_quota);
   }
   return it->second;
 }
@@ -119,18 +99,11 @@ AdmissionController::ClientState& AdmissionController::state_for(
 void AdmissionController::set_quota(const std::string& client,
                                     ClientQuota quota) {
   MutexLock lock(mutex_);
-  // Replace the produce-side buckets only; fetch buckets (and the
-  // client's emulated clock) survive.
+  // Replace the buckets only; the client's emulated clock survives.
   ClientState fresh = make_state(quota);
   ClientState& state = state_for(client);
   state.bytes = std::move(fresh.bytes);
   state.records = std::move(fresh.records);
-}
-
-void AdmissionController::set_fetch_quota(const std::string& client,
-                                          ClientQuota quota) {
-  MutexLock lock(mutex_);
-  apply_fetch_quota(state_for(client), quota);
 }
 
 Status AdmissionController::admit(const std::string& client,
@@ -163,66 +136,11 @@ Status AdmissionController::admit(const std::string& client,
   if (!ok) {
     return Status::Throttled(
         "client '" + client + "' over quota",
-        at_least(hint, config_.min_retry_after));
+        std::max(hint, kMinRetryAfter));
   }
   if (state.bytes) state.bytes->commit(static_cast<double>(bytes));
   if (state.records) state.records->commit(static_cast<double>(records));
   return Status::Ok();
-}
-
-Status AdmissionController::admit_fetch(const std::string& client) {
-  if (client.empty()) return Status::Ok();  // internal: not quota-gated
-  MutexLock lock(mutex_);
-  auto it = clients_.find(client);
-  if (it == clients_.end() && config_.default_fetch_quota.unlimited()) {
-    return Status::Ok();
-  }
-  ClientState& state = state_for(client);
-  if (!state.fetch_bytes && !state.fetch_records) return Status::Ok();
-  const std::uint64_t now = advance_clock(state);
-
-  // Debt gate: the fetch size is unknown until it is served, so the
-  // previous fetch's charge may have driven a bucket negative; this fetch
-  // waits until the debt refills. The hint is exactly the refill time of
-  // the deepest debt.
-  Duration hint = Duration::zero();
-  bool ok = true;
-  auto check = [&](std::optional<TokenBucket>& bucket) {
-    if (!bucket) return;
-    const double avail = bucket->available(now);
-    if (avail >= 0) return;
-    ok = false;
-    hint = std::max(hint, Duration(static_cast<std::int64_t>(
-                              std::ceil(-avail / bucket->rate() * kNsPerSec))));
-  };
-  check(state.fetch_bytes);
-  check(state.fetch_records);
-  if (!ok) {
-    return Status::Throttled("client '" + client + "' over fetch quota",
-                             at_least(hint, config_.min_retry_after));
-  }
-  return Status::Ok();
-}
-
-void AdmissionController::charge_fetch(const std::string& client,
-                                       std::size_t records,
-                                       std::uint64_t bytes) {
-  if (client.empty()) return;
-  MutexLock lock(mutex_);
-  auto it = clients_.find(client);
-  if (it == clients_.end() && config_.default_fetch_quota.unlimited()) {
-    return;
-  }
-  ClientState& state = state_for(client);
-  const std::uint64_t now = advance_clock(state);
-  if (state.fetch_bytes) {
-    (void)state.fetch_bytes->available(now);  // refill before overdrawing
-    state.fetch_bytes->commit(static_cast<double>(bytes));
-  }
-  if (state.fetch_records) {
-    (void)state.fetch_records->available(now);
-    state.fetch_records->commit(static_cast<double>(records));
-  }
 }
 
 Status AdmissionController::reserve_hot(std::uint64_t bytes) {
@@ -248,7 +166,7 @@ Status AdmissionController::reserve_hot(std::uint64_t bytes) {
           "hot-window cap: " + std::to_string(hot + prior) + "+" +
               std::to_string(bytes) + " bytes would exceed " +
               std::to_string(cap),
-          config_.min_retry_after);
+          kMinRetryAfter);
     }
   }
   return Status::Ok();

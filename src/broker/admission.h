@@ -1,14 +1,14 @@
-// Edge admission control: per-client token-bucket quotas and a broker-wide
-// bound on hot-window memory.
+// Edge admission control: per-client token-bucket produce quotas and a
+// broker-wide bound on hot-window memory.
 //
 // Pilot-Edge's ingress story is a constrained broker fed by a huge device
 // fleet. Two mechanisms keep it alive under bursty traffic:
 //
-//  - Per-client quotas (bytes/s and records/s, token buckets with a
-//    configurable burst depth). A client over its quota is *throttled*,
+//  - Per-client quotas (bytes/s and records/s, token buckets one second of
+//    quota deep). A client over its quota is *throttled*,
 //    not dropped: the produce fails with Status::Throttled — a
 //    RESOURCE_EXHAUSTED carrying a retry-after hint, which is transient,
-//    so every retrying client (Producer and Consumer by broker/retry.h,
+//    so every retrying client (Producer by broker/retry.h,
 //    RetryPolicy users) waits out the hint and succeeds once the bucket
 //    refills. Zero acked-record loss.
 //
@@ -68,8 +68,6 @@ class TokenBucket {
   void commit(double n) { tokens_ -= n; }
 
   double available(std::uint64_t now_ns);
-  double rate() const { return rate_; }
-  double burst() const { return burst_; }
 
  private:
   void refill(std::uint64_t now_ns);
@@ -81,12 +79,11 @@ class TokenBucket {
   bool primed_ = false;
 };
 
-/// Per-client rate limits. Zero means unlimited on that dimension.
+/// Per-client rate limits. Zero means unlimited on that dimension. Each
+/// bucket holds one second of its rate.
 struct ClientQuota {
   double bytes_per_sec = 0;
   double records_per_sec = 0;
-  /// Bucket depth as seconds of quota: burst = rate * burst_seconds.
-  double burst_seconds = 1.0;
 
   bool unlimited() const { return bytes_per_sec <= 0 && records_per_sec <= 0; }
 };
@@ -98,34 +95,22 @@ struct AdmissionConfig {
   /// replication) carry no client id and bypass quotas — they must drain
   /// — but never the hot-window cap accounting.
   ClientQuota default_quota;
-  /// Fetch-side mirror of `default_quota`: applied to every identified
-  /// consumer client without an explicit set_fetch_quota entry. Fetch
-  /// sizes are unknown until served, so the gate is debt-based: a fetch
-  /// is admitted while the client's buckets are non-negative, then
-  /// charged for what it actually carried (possibly overdrawing into
-  /// debt, which blocks subsequent fetches until the debt refills —
-  /// Kafka's consumer byte-rate quotas work the same way).
-  ClientQuota default_fetch_quota;
   /// Cap on the sum of all partitions' hot-window (in-memory deque)
   /// bytes. 0 = unbounded. When a produce would overshoot, it is
   /// throttled (after one retention pass) instead of appended.
   std::uint64_t max_hot_window_bytes = 0;
-  /// Floor for retry-after hints (emulated); also the hint attached to
-  /// hot-window throttles, which have no natural refill rate.
-  Duration min_retry_after = std::chrono::microseconds(200);
 };
+
+/// Floor for retry-after hints (emulated); also the hint attached to
+/// hot-window throttles, which have no natural refill rate.
+inline constexpr Duration kMinRetryAfter = std::chrono::microseconds(200);
 
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig config);
 
-  const AdmissionConfig& config() const { return config_; }
-
   /// Installs (or replaces) an explicit quota for a client id.
   void set_quota(const std::string& client, ClientQuota quota);
-
-  /// Installs (or replaces) an explicit fetch quota for a client id.
-  void set_fetch_quota(const std::string& client, ClientQuota quota);
 
   /// Quota gate. Consumes from the client's byte and record buckets
   /// atomically (neither is charged when either refuses). Empty client
@@ -133,16 +118,6 @@ class AdmissionController {
   /// hint, i.e. transient.
   Status admit(const std::string& client, std::size_t records,
                std::uint64_t bytes);
-
-  /// Fetch-side quota gate (debt model): refuses with Status::Throttled
-  /// while the client's fetch buckets are in debt from previous charges.
-  /// Empty client ids are exempt (internal fetches: replication).
-  Status admit_fetch(const std::string& client);
-
-  /// Charges a served fetch against the client's fetch buckets. May
-  /// overdraw; admit_fetch gates until the debt refills.
-  void charge_fetch(const std::string& client, std::size_t records,
-                    std::uint64_t bytes);
 
   /// Hot-window reservation: returns OK when `bytes` fit under the cap
   /// given the current hot bytes plus all in-flight reservations — the
@@ -168,21 +143,15 @@ class AdmissionController {
   struct ClientState {
     std::optional<TokenBucket> bytes;
     std::optional<TokenBucket> records;
-    /// Fetch-side buckets (consumer byte/record rates), charged after the
-    /// fetch is served.
-    std::optional<TokenBucket> fetch_bytes;
-    std::optional<TokenBucket> fetch_records;
     /// Emulated clock for this client's buckets, advanced by wall elapsed
     /// time x Clock::time_scale at each admit.
     std::uint64_t emulated_ns = 0;
     std::uint64_t last_wall_ns = 0;
   };
 
-  ClientState make_state(const ClientQuota& quota) const;
-  /// Installs the fetch-side buckets of `quota` into an existing state.
-  static void apply_fetch_quota(ClientState& state, const ClientQuota& quota);
-  /// Finds or creates the state for a client, seeding missing buckets
-  /// from the config defaults.
+  static ClientState make_state(const ClientQuota& quota);
+  /// Finds or creates the state for a client, seeding its buckets from
+  /// the default quota.
   ClientState& state_for(const std::string& client) PE_REQUIRES(mutex_);
   /// Advances the client's emulated clock to now.
   static std::uint64_t advance_clock(ClientState& state);

@@ -1,6 +1,5 @@
 #include "broker/broker.h"
 
-#include <filesystem>
 #include <limits>
 
 #include "common/logging.h"
@@ -15,16 +14,16 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 
 // --- durable record formats ---
 // Topic intent (key = topic name):
-//   u8 op (1 create / 2 delete) | u32 partitions | u64 max_records |
+//   u8 op (1 create) | u32 partitions | u64 max_records |
 //   u64 max_bytes | u64 max_age_ns | u8 partitioner | u64 hot_max_bytes
-// The trailing hot_max_bytes is absent in logs written before the
-// admission-control change; the decoder treats a short read there as 0.
 // Committed offset (key = group id): encode_committed_offset.
 
-Bytes encode_topic_intent(bool create, const TopicConfig& config) {
+constexpr std::uint8_t kCreateIntent = 1;
+
+Bytes encode_topic_intent(const TopicConfig& config) {
   Bytes out;
   ByteWriter w(out);
-  w.put_u8(create ? 1 : 2);
+  w.put_u8(kCreateIntent);
   w.put_u32(config.partitions);
   w.put_u64(config.retention.max_records);
   w.put_u64(config.retention.max_bytes);
@@ -34,22 +33,21 @@ Bytes encode_topic_intent(bool create, const TopicConfig& config) {
   return out;
 }
 
-bool decode_topic_intent(ByteSpan bytes, bool* create, TopicConfig* config) {
+/// False for a short intent or any op other than create.
+bool decode_topic_intent(ByteSpan bytes, TopicConfig* config) {
   ByteReader r(bytes);
   std::uint8_t op = 0, partitioner = 0;
   std::uint64_t max_age_ns = 0;
-  if (!r.get_u8(op).ok() || !r.get_u32(config->partitions).ok() ||
+  if (!r.get_u8(op).ok() || op != kCreateIntent ||
+      !r.get_u32(config->partitions).ok() ||
       !r.get_u64(config->retention.max_records).ok() ||
       !r.get_u64(config->retention.max_bytes).ok() ||
-      !r.get_u64(max_age_ns).ok() || !r.get_u8(partitioner).ok()) {
+      !r.get_u64(max_age_ns).ok() || !r.get_u8(partitioner).ok() ||
+      !r.get_u64(config->retention.hot_max_bytes).ok()) {
     return false;
-  }
-  if (!r.get_u64(config->retention.hot_max_bytes).ok()) {
-    config->retention.hot_max_bytes = 0;  // pre-admission-control intent
   }
   config->retention.max_age = Duration(max_age_ns);
   config->partitioner = static_cast<PartitionerKind>(partitioner);
-  *create = op == 1;
   return true;
 }
 
@@ -108,7 +106,6 @@ Broker::Broker(net::SiteId site, BrokerOptions options, std::string name)
 }
 
 Status Broker::recover_locked(storage::RecoveryReport* report) {
-  namespace fs = std::filesystem;
   // Control-plane logs are always fully synced: losing a topic intent or
   // a committed offset would violate the durability contract outright.
   storage::StorageConfig control_cfg = options_.storage;
@@ -121,39 +118,26 @@ Status Broker::recover_locked(storage::RecoveryReport* report) {
   meta_log_ = std::move(meta).value();
   merge_report(report, sub);
 
-  // Replay topic intents, last op per topic wins. A topic deleted at
-  // runtime already had its directory removed; removing again here makes
-  // a crash between tombstone append and directory removal converge.
-  struct Intent {
-    bool exists = false;
-    TopicConfig config;
-  };
-  std::map<std::string, Intent> intents;
+  // Replay the create intents; the last one per topic wins.
+  std::map<std::string, TopicConfig> intents;
   auto replayed = replay_log(*meta_log_, [&](const ConsumedRecord& r) {
-    Intent intent;
-    if (!decode_topic_intent(r.record.value, &intent.exists,
-                             &intent.config)) {
+    TopicConfig config;
+    if (!decode_topic_intent(r.record.value, &config)) {
       PE_LOG_WARN("skipping malformed topic intent at offset " << r.offset);
       return;
     }
-    intents[r.record.key] = intent;
+    intents[r.record.key] = config;
   });
   if (!replayed.ok()) return replayed;
 
-  for (const auto& [tname, intent] : intents) {
-    if (intent.exists) {
-      auto topic = std::make_shared<Topic>(tname, intent.config,
-                                           topic_dir(tname),
-                                           options_.storage);
-      topic->set_hot_bytes_counter(admission_.hot_bytes_counter());
-      for (std::uint32_t p = 0; p < topic->partition_count(); ++p) {
-        merge_report(report, topic->partition(p)->recovery_report());
-      }
-      topics_.emplace(tname, std::move(topic));
-    } else {
-      std::error_code ec;
-      fs::remove_all(topic_dir(tname), ec);
+  for (const auto& [tname, config] : intents) {
+    auto topic = std::make_shared<Topic>(tname, config, topic_dir(tname),
+                                         options_.storage);
+    topic->set_hot_bytes_counter(admission_.hot_bytes_counter());
+    for (std::uint32_t p = 0; p < topic->partition_count(); ++p) {
+      merge_report(report, topic->partition(p)->recovery_report());
     }
+    topics_.emplace(tname, std::move(topic));
   }
 
   sub = {};
@@ -176,12 +160,11 @@ Status Broker::recover_locked(storage::RecoveryReport* report) {
 }
 
 Status Broker::persist_topic_intent_locked(const std::string& name,
-                                           bool create,
                                            const TopicConfig& config) {
   if (!meta_log_) return Status::Ok();
   Record record;
   record.key = name;
-  record.value = encode_topic_intent(create, config);
+  record.value = encode_topic_intent(config);
   auto appended = meta_log_->append(record, Clock::now_ns());
   return appended.ok() ? Status::Ok() : appended.status();
 }
@@ -249,8 +232,7 @@ Status Broker::create_topic(const std::string& name, TopicConfig config) {
   // Write-ahead: the intent is durable before the topic serves traffic.
   // A disk failure degrades loudly to an in-memory topic rather than
   // refusing service.
-  if (auto s = persist_topic_intent_locked(name, /*create=*/true, config);
-      !s.ok()) {
+  if (auto s = persist_topic_intent_locked(name, config); !s.ok()) {
     PE_LOG_WARN("topic intent not persisted: " << s.to_string());
   }
   auto topic = std::make_shared<Topic>(
@@ -258,30 +240,6 @@ Status Broker::create_topic(const std::string& name, TopicConfig config) {
       options_.storage);
   topic->set_hot_bytes_counter(admission_.hot_bytes_counter());
   topics_.emplace(name, std::move(topic));
-  return Status::Ok();
-}
-
-Status Broker::delete_topic(const std::string& name) {
-  WriterLock lock(mutex_);
-  auto it = topics_.find(name);
-  if (it == topics_.end()) {
-    return Status::NotFound("topic '" + name + "' not found");
-  }
-  if (auto s = persist_topic_intent_locked(name, /*create=*/false,
-                                           it->second->config());
-      !s.ok()) {
-    PE_LOG_WARN("topic tombstone not persisted: " << s.to_string());
-  }
-  topics_.erase(it);
-  if (durable()) {
-    // In-flight fetches may still hold the Topic (and mmap'd views into
-    // its segments) alive; unlinking the files under them is safe.
-    std::error_code ec;
-    std::filesystem::remove_all(topic_dir(name), ec);
-    if (ec) {
-      PE_LOG_WARN("removing '" << topic_dir(name) << "': " << ec.message());
-    }
-  }
   return Status::Ok();
 }
 
@@ -397,11 +355,6 @@ void Broker::set_client_quota(const std::string& client, ClientQuota quota) {
   admission_.set_quota(client, quota);
 }
 
-void Broker::set_client_fetch_quota(const std::string& client,
-                                    ClientQuota quota) {
-  admission_.set_fetch_quota(client, quota);
-}
-
 Result<std::uint64_t> Broker::replicate(const std::string& topic,
                                         std::uint32_t partition,
                                         std::vector<ConsumedRecord> records) {
@@ -430,15 +383,8 @@ Result<std::uint32_t> Broker::select_partition(const std::string& topic,
 }
 
 Result<std::vector<ConsumedRecord>> Broker::fetch(
-    const std::string& topic, std::uint32_t partition, const FetchSpec& spec,
-    const std::string& client_id) {
-  // Fetch admission (debt gate) runs before the log is touched, so a
-  // throttled consumer costs the broker nothing but the bucket math.
-  if (auto s = admission_.admit_fetch(client_id); !s.ok()) {
-    stats_.throttled.fetch_add(1, kRelaxed);
-    stats_.fetch_throttled.fetch_add(1, kRelaxed);
-    return s;
-  }
+    const std::string& topic, std::uint32_t partition,
+    const FetchSpec& spec) {
   auto found = find_partition(topic, partition);
   if (!found.ok()) return found.status();
   if (partition_offline(topic, partition)) {
@@ -458,11 +404,6 @@ Result<std::vector<ConsumedRecord>> Broker::fetch(
   stats_.fetch_requests.fetch_add(1, kRelaxed);
   stats_.records_out.fetch_add(records.size(), kRelaxed);
   stats_.bytes_out.fetch_add(bytes, kRelaxed);
-  // Charge-after: the served size is only known now; an overdraw parks
-  // the client's buckets in debt and admit_fetch throttles the next poll.
-  if (!records.empty()) {
-    admission_.charge_fetch(client_id, records.size(), bytes);
-  }
   return records;
 }
 
@@ -478,14 +419,6 @@ Result<std::uint64_t> Broker::log_start_offset(const std::string& topic,
   auto found = find_partition(topic, partition);
   if (!found.ok()) return found.status();
   return found.value()->log_start_offset();
-}
-
-Result<std::uint64_t> Broker::offset_for_timestamp(
-    const std::string& topic, std::uint32_t partition,
-    std::uint64_t ts_ns) const {
-  auto found = find_partition(topic, partition);
-  if (!found.ok()) return found.status();
-  return found.value()->offset_for_timestamp(ts_ns);
 }
 
 Status Broker::truncate_partition(const std::string& topic,
@@ -554,7 +487,6 @@ BrokerStats Broker::stats() const {
   out.records_dead_lettered = stats_.records_dead_lettered.load(kRelaxed);
   out.throttled = stats_.throttled.load(kRelaxed);
   out.quota_rejections = stats_.quota_rejections.load(kRelaxed);
-  out.fetch_throttled = stats_.fetch_throttled.load(kRelaxed);
   return out;
 }
 

@@ -30,7 +30,7 @@ namespace pe::broker {
 
 /// Broker-level configuration. With a non-empty `durable_dir` the broker
 /// keeps three kinds of durable state under it:
-///   <dir>/__meta          — topic create/delete intents (always fsynced)
+///   <dir>/__meta          — topic create intents (always fsynced)
 ///   <dir>/__offsets       — consumer-group committed offsets (fsynced
 ///                           per commit: the durability contract is zero
 ///                           committed-offset loss across a crash)
@@ -58,8 +58,6 @@ struct BrokerStats {
   /// cap). quota_rejections counts the per-client-quota subset.
   std::uint64_t throttled = 0;
   std::uint64_t quota_rejections = 0;
-  /// Fetches refused because the client's fetch buckets were in debt.
-  std::uint64_t fetch_throttled = 0;
 };
 
 /// Name of the dead-letter topic shadowing `topic` (Kafka convention).
@@ -81,7 +79,6 @@ class Broker : public Endpoint {
 
   // --- admin ---
   Status create_topic(const std::string& name, TopicConfig config);
-  Status delete_topic(const std::string& name);
   bool has_topic(const std::string& name) const;
   /// Partition count for a topic; 0 when unknown.
   std::uint32_t partition_count(const std::string& name) const override;
@@ -113,28 +110,16 @@ class Broker : public Endpoint {
   Result<std::uint32_t> select_partition(const std::string& topic,
                                          const Record& record) override;
 
-  /// `client_id` identifies the fetching client for fetch-side admission
-  /// control (mirror of the produce path): a client whose fetch buckets
-  /// are in debt is refused with Status::Throttled + retry-after hint,
-  /// and a served fetch is charged for the bytes/records it actually
-  /// carried. Empty = internal caller (replication), quota-exempt. A
-  /// fetch at the log end parks `spec.waiter` (PartitionLog::fetch).
+  /// A fetch at the log end parks `spec.waiter` (PartitionLog::fetch).
   Result<std::vector<ConsumedRecord>> fetch(const std::string& topic,
                                             std::uint32_t partition,
-                                            const FetchSpec& spec,
-                                            const std::string& client_id = {})
-      override;
+                                            const FetchSpec& spec) override;
 
   /// Next offset to be written in a partition ("high watermark").
   Result<std::uint64_t> end_offset(const std::string& topic,
                                    std::uint32_t partition) const override;
   Result<std::uint64_t> log_start_offset(
       const std::string& topic, std::uint32_t partition) const override;
-  /// Offset of the first record at/after a broker timestamp
-  /// (offsetsForTimes).
-  Result<std::uint64_t> offset_for_timestamp(
-      const std::string& topic, std::uint32_t partition,
-      std::uint64_t ts_ns) const override;
 
   /// Discards every record at/above `offset` in a partition (both tiers)
   /// and resumes the offset sequence there. Used by the cluster layer to
@@ -208,8 +193,6 @@ class Broker : public Endpoint {
   // --- admission control ---
   /// Installs an explicit quota for a client id (overrides the default).
   void set_client_quota(const std::string& client, ClientQuota quota);
-  /// Installs an explicit fetch-side quota for a client id.
-  void set_client_fetch_quota(const std::string& client, ClientQuota quota);
   /// Sum of all partitions' in-memory hot-window bytes right now.
   std::uint64_t hot_window_bytes() const {
     return admission_.hot_window_bytes();
@@ -233,7 +216,7 @@ class Broker : public Endpoint {
   /// logs), committed offsets are restored into the coordinator.
   Status recover_locked(storage::RecoveryReport* report)
       PE_REQUIRES(mutex_);
-  Status persist_topic_intent_locked(const std::string& name, bool create,
+  Status persist_topic_intent_locked(const std::string& name,
                                      const TopicConfig& config)
       PE_REQUIRES(mutex_);
   /// Commit-listener target: appends one committed offset to the offsets
@@ -257,7 +240,6 @@ class Broker : public Endpoint {
     std::atomic<std::uint64_t> records_dead_lettered{0};
     std::atomic<std::uint64_t> throttled{0};
     std::atomic<std::uint64_t> quota_rejections{0};
-    std::atomic<std::uint64_t> fetch_throttled{0};
   };
 
   const net::SiteId site_;
@@ -265,8 +247,8 @@ class Broker : public Endpoint {
   const BrokerOptions options_;
   // Reader-writer registry lock: produce/fetch only ever take it shared
   // (topic lookup + offline check); per-partition serialization lives in
-  // each PartitionLog's own mutex. Admin ops (create/delete topic, chaos
-  // offline toggles) take it exclusive. Top of the broker lock domain:
+  // each PartitionLog's own mutex. Admin ops (create topic, chaos offline
+  // toggles) take it exclusive. Top of the broker lock domain:
   // PartitionLog mutexes may be acquired under it (retained_bytes), never
   // above it.
   mutable SharedMutex mutex_;

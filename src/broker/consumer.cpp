@@ -111,9 +111,7 @@ void Consumer::maybe_rebalance() {
   }
 }
 
-std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
-                                           Status* throttle) {
-  if (throttle != nullptr) *throttle = Status::Ok();
+std::vector<ConsumedRecord> Consumer::poll(Duration timeout) {
   // At-least-once auto-commit (Kafka semantics): what the PREVIOUS poll
   // delivered is committed now — the application has had the records in
   // hand since then, so a crash between polls redelivers instead of
@@ -142,7 +140,6 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
       if (byte_budget == 0) break;
       const auto& tp =
           assignment_[(next_partition_index_ + i) % assignment_.size()];
-      if (paused_.count(tp) > 0) continue;
       auto pos = positions_.find(tp);
       if (pos == positions_.end()) {
         auto start = initial_position(tp);
@@ -154,7 +151,7 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
       spec.max_records = config_.max_poll_records - out.size();
       spec.max_bytes = byte_budget;
       spec.waiter = waiter_;
-      auto fetched = endpoint_->fetch(tp.topic, tp.partition, spec, id_);
+      auto fetched = endpoint_->fetch(tp.topic, tp.partition, spec);
       if (!fetched.ok()) {
         const Status& failure = fetched.status();
         if (failure.code() == StatusCode::kOutOfRange) {
@@ -167,13 +164,6 @@ std::vector<ConsumedRecord> Consumer::poll(Duration timeout,
           } else {
             positions_.erase(pos);
           }
-        } else if (failure.retry_after() > Duration::zero()) {
-          // Fetch quota in debt: every partition would get the same
-          // refusal, so surface the throttle (with the broker's
-          // retry-after hint) and end the poll with what we have.
-          if (throttle != nullptr) *throttle = failure;
-          stats_.throttled_polls += 1;
-          return out;
         } else if (!failure.is_transient()) {
           // Transient failures (a leader moving) clear by a later sweep.
           PE_LOG_WARN("poll fetch failed: " << failure.to_string());
@@ -231,30 +221,6 @@ Status Consumer::seek(const TopicPartition& tp, std::uint64_t offset) {
   if (!is_assigned(tp)) return Status::NotFound("partition not assigned");
   positions_[tp] = offset;
   return Status::Ok();
-}
-
-Status Consumer::seek_to_timestamp(const TopicPartition& tp,
-                                   std::uint64_t ts_ns) {
-  auto offset = endpoint_->offset_for_timestamp(tp.topic, tp.partition, ts_ns);
-  if (!offset.ok()) return offset.status();
-  return seek(tp, offset.value());
-}
-
-Status Consumer::pause(const TopicPartition& tp) {
-  if (!is_assigned(tp)) return Status::NotFound("partition not assigned");
-  paused_.insert(tp);
-  return Status::Ok();
-}
-
-Status Consumer::resume(const TopicPartition& tp) {
-  if (paused_.erase(tp) == 0) {
-    return Status::NotFound("partition not paused");
-  }
-  return Status::Ok();
-}
-
-bool Consumer::paused(const TopicPartition& tp) const {
-  return paused_.count(tp) > 0;
 }
 
 Status Consumer::commit() {

@@ -12,7 +12,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -46,8 +45,6 @@ struct ConsumerStats {
   std::uint64_t bytes_received = 0;
   std::uint64_t polls = 0;
   std::uint64_t rebalances = 0;
-  /// Polls cut short by a broker-side fetch throttle.
-  std::uint64_t throttled_polls = 0;
 };
 
 class Consumer {
@@ -74,14 +71,7 @@ class Consumer {
 
   /// Fetches up to config.max_poll_records across assigned partitions,
   /// waiting up to `timeout` for data. Returns an empty vector on timeout.
-  ///
-  /// With `throttle`, also reports fetch-side throttling: when the broker
-  /// refused a fetch because this client's fetch quota is in debt,
-  /// `*throttle` is the Status::Throttled (carrying the broker's
-  /// retry-after hint) and the poll returns early instead of burning the
-  /// timeout against a broker that already said no. OK otherwise.
-  std::vector<ConsumedRecord> poll(Duration timeout,
-                                   Status* throttle = nullptr);
+  std::vector<ConsumedRecord> poll(Duration timeout);
 
   /// Current assignment (after any pending rebalance is applied on poll).
   std::vector<TopicPartition> assignment() const;
@@ -91,16 +81,6 @@ class Consumer {
   Result<std::uint64_t> position(const TopicPartition& tp) const;
 
   Status seek(const TopicPartition& tp, std::uint64_t offset);
-
-  /// Repositions to the first record at/after a broker timestamp
-  /// (offsetsForTimes + seek in one call).
-  Status seek_to_timestamp(const TopicPartition& tp, std::uint64_t ts_ns);
-
-  /// Backpressure: paused partitions stay assigned but are skipped by
-  /// poll() until resumed (Kafka pause/resume semantics).
-  Status pause(const TopicPartition& tp);
-  Status resume(const TopicPartition& tp);
-  bool paused(const TopicPartition& tp) const;
 
   /// Commits current positions for all assigned partitions; each commit
   /// retries transient failures (broker/retry.h).
@@ -149,7 +129,6 @@ class Consumer {
   std::vector<TopicPartition> assignment_;
   /// Assigned partitions missing here are resolved by the next poll.
   std::map<TopicPartition, std::uint64_t> positions_;
-  std::set<TopicPartition> paused_;
   std::size_t next_partition_index_ = 0;
   /// Parked by every fetch that finds nothing; poll() waits on it.
   const std::shared_ptr<Waiter> waiter_ = std::make_shared<Waiter>();

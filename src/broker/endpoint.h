@@ -1,7 +1,7 @@
 // The calls a Producer/Consumer makes against wherever its broker runs:
 // `Broker` implements them directly, `cluster::ClusterEndpoint` over a
-// replicated BrokerCluster. `client_id` names the calling client to the
-// serving broker's admission control (produce and fetch quotas); empty is
+// replicated BrokerCluster. `client_id` names the producing client to the
+// serving broker's admission control (produce quotas); empty is
 // quota-exempt.
 #pragma once
 
@@ -37,17 +37,13 @@ class Endpoint {
   /// Reads from `spec.offset` without blocking. A read that returns no
   /// records parks `spec.waiter` (when set) until the partition changes.
   virtual Result<std::vector<ConsumedRecord>> fetch(
-      const std::string& topic, std::uint32_t partition, const FetchSpec& spec,
-      const std::string& client_id) = 0;
+      const std::string& topic, std::uint32_t partition,
+      const FetchSpec& spec) = 0;
   virtual Result<std::uint64_t> log_start_offset(
       const std::string& topic, std::uint32_t partition) const = 0;
   /// Committed end: a broker's end offset, a cluster's high watermark.
   virtual Result<std::uint64_t> end_offset(const std::string& topic,
                                            std::uint32_t partition) const = 0;
-  /// First offset at/after a broker timestamp.
-  virtual Result<std::uint64_t> offset_for_timestamp(
-      const std::string& topic, std::uint32_t partition,
-      std::uint64_t ts_ns) const = 0;
 
   // Consumer groups, with GroupCoordinator semantics.
   virtual Result<GroupAssignment> join_group(

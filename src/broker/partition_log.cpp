@@ -308,20 +308,4 @@ void PartitionLog::enforce_retention_locked() {
   }
 }
 
-std::uint64_t PartitionLog::offset_for_timestamp(std::uint64_t ts_ns) const {
-  MutexLock lock(mutex_);
-  // Broker timestamps are monotone in offset.
-  const auto first_at_or_after = std::partition_point(
-      entries_.begin(), entries_.end(),
-      [ts_ns](const Entry& e) { return e.broker_timestamp_ns < ts_ns; });
-  // Past the hot window's first record the answer is in it. At or before
-  // that record, the durable tier may still hold older records that
-  // qualify; an in-memory log answers with its start.
-  if (first_at_or_after == entries_.begin() && log_dir_) {
-    return log_dir_->offset_for_timestamp(ts_ns);
-  }
-  return first_at_or_after == entries_.end() ? next_offset_
-                                             : first_at_or_after->offset;
-}
-
 }  // namespace pe::broker

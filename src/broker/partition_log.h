@@ -130,11 +130,6 @@ class PartitionLog {
   /// First offset still held (advances under retention).
   std::uint64_t log_start_offset() const;
 
-  /// Offset of the first record with broker timestamp >= ts_ns, or
-  /// end_offset() when everything retained is older (Kafka's
-  /// offsetsForTimes semantics; timestamps are append-monotonic).
-  std::uint64_t offset_for_timestamp(std::uint64_t ts_ns) const;
-
   /// Offset that the *next* appended record will receive. Lock-free: it
   /// never waits behind an append holding the log across the disk, and a
   /// fetch of any offset below the value it returns succeeds.

@@ -37,7 +37,6 @@ class Topic {
   std::uint32_t partition_count() const {
     return static_cast<std::uint32_t>(partitions_.size());
   }
-  const TopicConfig& config() const { return config_; }
 
   /// Chooses a partition for a record according to the topic's partitioner.
   std::uint32_t select_partition(const Record& record);

@@ -261,8 +261,8 @@ Result<std::uint64_t> BrokerCluster::replicated_append_locked(
   // The leader's just-appended batch, fetched back lazily (hot-window
   // read, shared payload views) the first time a follower needs it:
   // replication ships the records *with the leader's broker timestamps*,
-  // so every replica carries the same timestamp per offset and
-  // offset_for_timestamp / age-based retention agree across a failover.
+  // so every replica carries the same timestamp per offset and age-based
+  // retention agrees across a failover.
   std::vector<broker::ConsumedRecord> stamped;
   for (BrokerId r : meta.replicas) {
     if (r == meta.leader) continue;
@@ -402,7 +402,7 @@ std::uint64_t BrokerCluster::high_watermark_locked(
 
 Result<std::vector<broker::ConsumedRecord>> BrokerCluster::fetch(
     BrokerId via, const std::string& topic, std::uint32_t partition,
-    broker::FetchSpec spec, const std::string& client_id) const {
+    broker::FetchSpec spec) const {
   // Parked against the high watermark here, not in the leader's log.
   const std::shared_ptr<Waiter> waiter = std::exchange(spec.waiter, nullptr);
   ReaderLock lock(mutex_);
@@ -427,8 +427,7 @@ Result<std::vector<broker::ConsumedRecord>> BrokerCluster::fetch(
   if (spec.offset == hw) return std::vector<broker::ConsumedRecord>{};
   spec.max_records = static_cast<std::size_t>(
       std::min<std::uint64_t>(spec.max_records, hw - spec.offset));
-  auto fetched =
-      nodes_[ps.meta.leader].broker->fetch(topic, partition, spec, client_id);
+  auto fetched = nodes_[ps.meta.leader].broker->fetch(topic, partition, spec);
   if (!fetched.ok()) return fetched.status();
   auto records = std::move(fetched).value();
   while (!records.empty() && records.back().offset >= hw) records.pop_back();
@@ -451,20 +450,6 @@ Result<std::uint64_t> BrokerCluster::log_start_offset(
   const BrokerId leader = found.value()->meta.leader;
   if (leader == kNoBroker) return leaderless_status(topic, partition);
   return nodes_[leader].broker->log_start_offset(topic, partition);
-}
-
-Result<std::uint64_t> BrokerCluster::offset_for_timestamp(
-    const std::string& topic, std::uint32_t partition,
-    std::uint64_t ts_ns) const {
-  ReaderLock lock(mutex_);
-  auto found = find_partition_locked(topic, partition);
-  if (!found.ok()) return found.status();
-  const PartitionState& ps = *found.value();
-  if (ps.meta.leader == kNoBroker) return leaderless_status(topic, partition);
-  auto offset = nodes_[ps.meta.leader].broker->offset_for_timestamp(
-      topic, partition, ts_ns);
-  if (!offset.ok()) return offset.status();
-  return std::min(offset.value(), high_watermark_locked(topic, partition, ps));
 }
 
 // --- consumer groups -------------------------------------------------------
@@ -902,9 +887,8 @@ std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase() {
           }
           const std::size_t n = batch.value().size();
           // Replicate (not produce): the follower appends the leader's
-          // records with the leader's broker timestamps, keeping
-          // offset_for_timestamp and age retention consistent per offset
-          // across every replica.
+          // records with the leader's broker timestamps, keeping age
+          // retention consistent per offset across every replica.
           if (!node.broker->replicate(topic, p, std::move(batch).value())
                    .ok()) {
             break;

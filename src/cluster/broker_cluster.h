@@ -97,11 +97,10 @@ class BrokerCluster {
 
   /// Reads from the leader, capped at the high watermark: records not yet
   /// on a majority of replicas are invisible. Never blocks: a read that
-  /// returns no records parks `spec.waiter` (DESIGN §10). `client_id`
-  /// feeds the leader broker's fetch quota (Broker::fetch).
+  /// returns no records parks `spec.waiter` (DESIGN §10).
   Result<std::vector<broker::ConsumedRecord>> fetch(
       BrokerId via, const std::string& topic, std::uint32_t partition,
-      broker::FetchSpec spec, const std::string& client_id = {}) const;
+      broker::FetchSpec spec) const;
 
   /// Committed end of a partition: the quorum-replicated offset. A
   /// consumer positioned here has seen everything that is guaranteed to
@@ -110,12 +109,6 @@ class BrokerCluster {
                                        std::uint32_t partition) const;
   Result<std::uint64_t> log_start_offset(const std::string& topic,
                                          std::uint32_t partition) const;
-  /// Offset of the first record at/after a broker timestamp, served by
-  /// the leader and capped at the high watermark. Replicas keep the
-  /// leader's timestamps, so the answer survives a failover.
-  Result<std::uint64_t> offset_for_timestamp(const std::string& topic,
-                                             std::uint32_t partition,
-                                             std::uint64_t ts_ns) const;
 
   // --- consumer groups ---
   /// The live `__offsets` leader, whose coordinator serves consumer

@@ -39,12 +39,11 @@ Result<std::uint64_t> ClusterEndpoint::produce(
 
 Result<std::vector<broker::ConsumedRecord>> ClusterEndpoint::fetch(
     const std::string& topic, std::uint32_t partition,
-    const broker::FetchSpec& spec, const std::string& client_id) {
+    const broker::FetchSpec& spec) {
   for (int attempt = 0;; ++attempt) {
     auto leader = cluster_->leader(topic, partition);
     if (!leader.ok()) return leader.status();
-    auto fetched = cluster_->fetch(leader.value(), topic, partition, spec,
-                                   client_id);
+    auto fetched = cluster_->fetch(leader.value(), topic, partition, spec);
     // NOT_LEADER: leadership moved since the lookup; one more at once.
     if (attempt == 1 || fetched.status().code() != StatusCode::kNotLeader) {
       return fetched;

@@ -39,7 +39,7 @@ class ClusterEndpoint final : public broker::Endpoint {
   /// Reads up to the high watermark.
   Result<std::vector<broker::ConsumedRecord>> fetch(
       const std::string& topic, std::uint32_t partition,
-      const broker::FetchSpec& spec, const std::string& client_id) override;
+      const broker::FetchSpec& spec) override;
   Result<std::uint64_t> log_start_offset(
       const std::string& topic, std::uint32_t partition) const override {
     return cluster_->log_start_offset(topic, partition);
@@ -47,11 +47,6 @@ class ClusterEndpoint final : public broker::Endpoint {
   /// The high watermark; UNAVAILABLE while the partition is leaderless.
   Result<std::uint64_t> end_offset(const std::string& topic,
                                    std::uint32_t partition) const override;
-  Result<std::uint64_t> offset_for_timestamp(
-      const std::string& topic, std::uint32_t partition,
-      std::uint64_t ts_ns) const override {
-    return cluster_->offset_for_timestamp(topic, partition, ts_ns);
-  }
 
   Result<broker::GroupAssignment> join_group(
       const std::string& group, const std::string& member,

@@ -34,7 +34,9 @@ Status MqttKafkaBridge::start() {
                                          "bridge-" + config_.kafka_topic);
   if (auto c = client_->connect(); !c.ok()) return c.status();
   if (auto s = client_->subscribe(config_.mqtt_filter); !s.ok()) return s;
-  producer_ = std::make_unique<broker::Producer>(kafka_, fabric_, site_);
+  stop_ = std::make_shared<std::atomic<bool>>(false);
+  producer_ =
+      std::make_unique<broker::Producer>(kafka_, fabric_, site_, stop_);
   running_.store(true);
   thread_ = std::thread([this] { run(); });
   return Status::Ok();
@@ -56,6 +58,8 @@ void MqttKafkaBridge::run() {
       record.value = std::move(m.payload);
       record.client_timestamp_ns = m.publish_ns;
       auto meta = producer_->send(config_.kafka_topic, std::move(record));
+      // Cancelled by shutdown(): neither forwarded nor an error.
+      if (meta.status().code() == StatusCode::kCancelled) return;
       if (meta.ok()) {
         forwarded_.fetch_add(1);
         // Acked only once forwarded: an unacked QoS-1 message is
@@ -80,6 +84,7 @@ void MqttKafkaBridge::shutdown() {
   if (!running_.exchange(false)) {
     return;
   }
+  stop_->store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
   if (client_) (void)client_->disconnect();
 }

@@ -11,7 +11,9 @@
 // only after its forward succeeded (the producer retries transient
 // failures by broker/retry.h). A forward that exhausts the retry budget
 // stays unacked, so the MQTT session redelivers it after its ack timeout;
-// downstream deduplication by message id absorbs the duplicate.
+// downstream deduplication by message id absorbs the duplicate. A forward
+// that shutdown() cancels mid-retry is left unacked and counted neither
+// as forwarded nor as an error.
 #pragma once
 
 #include <atomic>
@@ -66,6 +68,8 @@ class MqttKafkaBridge {
   const BridgeConfig config_;
   std::unique_ptr<MqttClient> client_;
   std::unique_ptr<broker::Producer> producer_;
+  /// The producer's stop flag: set by shutdown() to end a retrying send.
+  std::shared_ptr<std::atomic<bool>> stop_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> errors_{0};

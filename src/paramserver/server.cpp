@@ -1,21 +1,6 @@
 #include "paramserver/server.h"
 
-#include <limits>
-
-#include "common/logging.h"
-#include "telemetry/metrics.h"
-
 namespace pe::ps {
-
-namespace {
-
-// Snapshot record keys: "e:<key>" entry, "c:<key>" counter, "__commit"
-// marker carrying the number of records in the snapshot it closes.
-constexpr char kEntryPrefix = 'e';
-constexpr char kCounterPrefix = 'c';
-constexpr const char* kCommitKey = "__commit";
-
-}  // namespace
 
 ParameterServer::ParameterServer(net::SiteId site) : site_(std::move(site)) {}
 
@@ -128,138 +113,6 @@ std::size_t ParameterServer::size() const {
 ServerStats ParameterServer::stats() const {
   MutexLock lock(mutex_);
   return stats_;
-}
-
-Status ParameterServer::snapshot(storage::LogDir& log) const {
-  MutexLock lock(mutex_);
-  const std::uint64_t now_ns = Clock::now_ns();
-  std::uint64_t count = 0;
-  for (const auto& [key, entry] : entries_) {
-    broker::Record record;
-    record.key = std::string("e:") + key;
-    Bytes out;
-    ByteWriter w(out);
-    w.put_u64(entry.version);
-    w.put_u64(entry.updated_ns);
-    w.put_bytes(entry.value);
-    record.value = std::move(out);
-    if (auto a = log.append(record, now_ns); !a.ok()) return a.status();
-    ++count;
-  }
-  for (const auto& [key, value] : counters_) {
-    broker::Record record;
-    record.key = std::string("c:") + key;
-    Bytes out;
-    ByteWriter w(out);
-    w.put_u64(static_cast<std::uint64_t>(value));
-    record.value = std::move(out);
-    if (auto a = log.append(record, now_ns); !a.ok()) return a.status();
-    ++count;
-  }
-  broker::Record marker;
-  marker.key = kCommitKey;
-  Bytes out;
-  ByteWriter w(out);
-  w.put_u64(count);
-  marker.value = std::move(out);
-  if (auto a = log.append(marker, now_ns); !a.ok()) return a.status();
-  // The marker only counts once its records are on stable storage: a
-  // snapshot is complete iff the fsync below returned.
-  if (auto s = log.sync(); !s.ok()) return s;
-  // Older snapshots are garbage now; whole-segment retention keeps every
-  // segment still needed to cover this snapshot's records.
-  log.apply_retention(count + 1, 0, 0);
-  tel::MetricsRegistry::global().counter("ps.snapshots").add();
-  return Status::Ok();
-}
-
-Status ParameterServer::restore(storage::LogDir& log) {
-  std::map<std::string, VersionedValue> entries, staged_entries;
-  std::map<std::string, std::int64_t> counters, staged_counters;
-  bool complete = false;
-  std::uint64_t staged = 0;
-
-  std::uint64_t offset = log.start_offset();
-  const std::uint64_t end = log.end_offset();
-  while (offset < end) {
-    auto batch = log.fetch(offset, 512,
-                           std::numeric_limits<std::uint64_t>::max());
-    if (!batch.ok()) return batch.status();
-    if (batch.value().empty()) break;
-    for (const auto& r : batch.value()) {
-      const std::string& key = r.record.key;
-      if (key == kCommitKey) {
-        std::uint64_t want = 0;
-        ByteReader reader(r.record.value);
-        if (reader.get_u64(want).ok() && want == staged) {
-          entries = std::move(staged_entries);
-          counters = std::move(staged_counters);
-          complete = true;
-        } else {
-          PE_LOG_WARN("ignoring snapshot with bad commit marker at offset "
-                      << r.offset);
-        }
-        staged_entries.clear();
-        staged_counters.clear();
-        staged = 0;
-        continue;
-      }
-      if (key.size() < 2 || key[1] != ':') {
-        PE_LOG_WARN("skipping malformed snapshot key at offset " << r.offset);
-        continue;
-      }
-      ByteReader reader(r.record.value);
-      if (key[0] == kEntryPrefix) {
-        VersionedValue entry;
-        if (!reader.get_u64(entry.version).ok() ||
-            !reader.get_u64(entry.updated_ns).ok() ||
-            !reader.get_bytes(entry.value).ok()) {
-          PE_LOG_WARN("skipping malformed snapshot entry at offset "
-                      << r.offset);
-          continue;
-        }
-        staged_entries[key.substr(2)] = std::move(entry);
-        ++staged;
-      } else if (key[0] == kCounterPrefix) {
-        std::uint64_t bits = 0;
-        if (!reader.get_u64(bits).ok()) {
-          PE_LOG_WARN("skipping malformed snapshot counter at offset "
-                      << r.offset);
-          continue;
-        }
-        staged_counters[key.substr(2)] = static_cast<std::int64_t>(bits);
-        ++staged;
-      }
-    }
-    offset = batch.value().back().offset + 1;
-  }
-
-  if (!complete) {
-    return Status::NotFound("no complete snapshot in '" + log.dir() + "'");
-  }
-  {
-    MutexLock lock(mutex_);
-    entries_ = std::move(entries);
-    counters_ = std::move(counters);
-  }
-  updated_.notify_all();
-  return Status::Ok();
-}
-
-Status ParameterServer::snapshot_to(const std::string& dir,
-                                    storage::StorageConfig config) const {
-  // The snapshot syncs exactly once, at the commit marker.
-  config.flush_policy = storage::FlushPolicy::kNever;
-  auto log = storage::LogDir::open(dir, config);
-  if (!log.ok()) return log.status();
-  return snapshot(*log.value());
-}
-
-Status ParameterServer::restore_from(const std::string& dir,
-                                     storage::StorageConfig config) {
-  auto log = storage::LogDir::open(dir, config);
-  if (!log.ok()) return log.status();
-  return restore(*log.value());
 }
 
 }  // namespace pe::ps

@@ -18,8 +18,6 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "network/site.h"
-#include "storage/log_dir.h"
-#include "storage/storage_config.h"
 
 namespace pe::ps {
 
@@ -72,28 +70,6 @@ class ParameterServer {
   std::size_t size() const;
 
   ServerStats stats() const;
-
-  // --- durability ---
-  //
-  // A snapshot is a consistent point-in-time copy of every entry and
-  // counter, appended to a storage::LogDir as one record per key plus a
-  // trailing commit marker, then fsynced. A snapshot interrupted by a
-  // crash has no marker and is ignored by restore(); restore() installs
-  // the latest *complete* snapshot in the log. After a successful
-  // snapshot the log's older segments (previous snapshots) are dropped.
-
-  /// Appends a snapshot to `log` and fsyncs it.
-  Status snapshot(storage::LogDir& log) const;
-  /// Replaces all entries and counters with the latest complete snapshot
-  /// in `log`; NOT_FOUND if the log holds none. Watchers are woken.
-  Status restore(storage::LogDir& log);
-
-  /// Convenience: open (or create) `dir` and snapshot into / restore
-  /// from it.
-  Status snapshot_to(const std::string& dir,
-                     storage::StorageConfig config = {}) const;
-  Status restore_from(const std::string& dir,
-                      storage::StorageConfig config = {});
 
  private:
   const net::SiteId site_;

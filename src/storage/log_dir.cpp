@@ -504,33 +504,11 @@ std::vector<SegmentInfo> LogDir::segments() const {
     info.base_offset = s.base_offset();
     info.end_offset = s.end_offset();
     info.bytes = s.bytes();
-    info.first_timestamp_ns = s.first_timestamp_ns();
     info.last_timestamp_ns = s.last_timestamp_ns();
     info.active = i + 1 == segments_.size();
     out.push_back(info);
   }
   return out;
-}
-
-std::uint64_t LogDir::offset_for_timestamp(std::uint64_t ts_ns) const {
-  MutexLock lock(mutex_);
-  // First non-empty segment whose last timestamp is >= ts (segments are
-  // timestamp-ordered because appends are). Empty segments — a fresh log,
-  // or an active segment right after a boundary truncation — hold no
-  // candidate records, so they are ordered as "older than everything":
-  // without this the binary search can land on the empty active segment
-  // and fall through to the error path below.
-  const auto it = std::partition_point(
-      segments_.begin(), segments_.end(), [ts_ns](const auto& s) {
-        return s->record_count() == 0 || s->last_timestamp_ns() < ts_ns;
-      });
-  if (it == segments_.end()) return end_offset_locked();
-  auto found = (*it)->offset_for_timestamp(ts_ns);
-  if (!found.ok()) {
-    PE_LOG_WARN("offset_for_timestamp: " << found.status().to_string());
-    return end_offset_locked();
-  }
-  return found.value();
 }
 
 Status LogDir::truncate_suffix(std::uint64_t offset) {

@@ -1,5 +1,5 @@
 // LogDir: a directory of commit-log segments — the durable backing store
-// for broker partitions and parameter-server snapshots.
+// for broker partitions and the broker's metadata and offsets logs.
 //
 // open() scans the segments in offset order, verifies every record batch,
 // truncates the torn tail (and deletes any segments made unreachable by a
@@ -124,12 +124,6 @@ class LogDir {
   std::uint64_t byte_size() const;
   std::size_t segment_count() const;
   std::vector<SegmentInfo> segments() const;
-
-  /// First offset with broker timestamp >= ts_ns (end_offset() when all
-  /// retained records are older). Binary search over segments + sparse
-  /// per-segment index; empty segments (a fresh log, or an active segment
-  /// right after a boundary truncation) are skipped.
-  std::uint64_t offset_for_timestamp(std::uint64_t ts_ns) const;
 
   /// Discards every record with offset >= `offset` (replication divergence
   /// repair: a deposed leader truncates its un-replicated suffix before

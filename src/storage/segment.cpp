@@ -48,8 +48,7 @@ Segment::Segment(std::string path, std::uint64_t base_offset)
 void Segment::note_append(const BatchHeader& batch, std::uint64_t file_pos) {
   if (index_.empty() ||
       file_pos - index_.back().file_pos >= kIndexIntervalBytes) {
-    index_.push_back(
-        IndexEntry{batch.base_offset, file_pos, batch.first_timestamp_ns});
+    index_.push_back(IndexEntry{batch.base_offset, file_pos});
   }
   last_timestamp_ns_ = batch.max_timestamp_ns;
   next_offset_ = batch.end_offset();
@@ -106,22 +105,6 @@ bool Segment::has_live_mapping() const {
                      [](const auto& region) { return !region.expired(); });
 }
 
-template <typename Stop>
-Result<std::uint64_t> Segment::hop(std::uint64_t pos, Stop stop) const {
-  auto mapped = mapping();
-  if (!mapped.ok()) return mapped.status();
-  const MmapRegion& region = *mapped.value();
-  for (BatchHeader header;; pos += header.bytes) {
-    if (pos >= bytes_ ||
-        !peek_batch(region.data() + pos, bytes_ - pos, &header)) {
-      return Status::Internal("segment '" + path_ +
-                              "' index walk hit an invalid batch at byte " +
-                              std::to_string(pos));
-    }
-    if (stop(header)) return pos;
-  }
-}
-
 Status Segment::read_batch(std::uint64_t pos, BatchReader* batch) const {
   auto mapped = mapping();
   if (!mapped.ok()) return mapped.status();
@@ -146,34 +129,20 @@ Result<std::uint64_t> Segment::position_of(std::uint64_t offset) const {
   const auto floor = std::upper_bound(
       index_.begin(), index_.end(), offset,
       [](std::uint64_t o, const IndexEntry& e) { return o < e.offset; });
-  return hop(std::prev(floor)->file_pos, [offset](const BatchHeader& h) {
-    return offset < h.end_offset();
-  });
-}
-
-Result<std::uint64_t> Segment::offset_for_timestamp(
-    std::uint64_t ts_ns) const {
-  if (record_count() == 0 || last_timestamp_ns_ < ts_ns) {
-    return next_offset_;
+  auto mapped = mapping();
+  if (!mapped.ok()) return mapped.status();
+  const MmapRegion& region = *mapped.value();
+  // Hop batch headers forward to the batch holding `offset`.
+  BatchHeader header;
+  for (std::uint64_t pos = std::prev(floor)->file_pos;; pos += header.bytes) {
+    if (pos >= bytes_ ||
+        !peek_batch(region.data() + pos, bytes_ - pos, &header)) {
+      return Status::Internal("segment '" + path_ +
+                              "' index walk hit an invalid batch at byte " +
+                              std::to_string(pos));
+    }
+    if (offset < header.end_offset()) return pos;
   }
-  // Index entries are timestamp-monotone (append order): start from the
-  // last entry whose batch begins strictly older than ts_ns; the batch
-  // after it begins at or past ts_ns.
-  const auto after = std::partition_point(
-      index_.begin(), index_.end(),
-      [ts_ns](const IndexEntry& e) { return e.broker_timestamp_ns < ts_ns; });
-  const IndexEntry& from = after == index_.begin() ? *after : *(after - 1);
-  auto pos = hop(from.file_pos, [ts_ns](const BatchHeader& h) {
-    return h.max_timestamp_ns >= ts_ns;
-  });
-  if (!pos.ok()) return pos.status();
-  BatchReader batch;
-  if (auto s = read_batch(pos.value(), &batch); !s.ok()) return s;
-  // The batch's max timestamp reaches ts_ns, so some record does.
-  broker::ConsumedRecord record;
-  while (batch.next(&record) && record.broker_timestamp_ns < ts_ns) {
-  }
-  return record.offset;
 }
 
 Status Segment::cut_at(std::uint64_t offset) {

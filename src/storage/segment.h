@@ -47,11 +47,10 @@ class MmapRegion {
   std::uint64_t size_;
 };
 
-/// A batch start: its base offset, file position and first timestamp.
+/// A batch start: its base offset and file position.
 struct IndexEntry {
   std::uint64_t offset = 0;
   std::uint64_t file_pos = 0;
-  std::uint64_t broker_timestamp_ns = 0;
 };
 
 class Segment {
@@ -94,11 +93,6 @@ class Segment {
   /// in [base_offset, end_offset).
   Result<std::uint64_t> position_of(std::uint64_t offset) const;
 
-  /// First offset whose broker timestamp is >= ts_ns, or end_offset()
-  /// when every record in the segment is older. Hops batch headers to the
-  /// first batch whose max timestamp reaches ts_ns, then reads that one.
-  Result<std::uint64_t> offset_for_timestamp(std::uint64_t ts_ns) const;
-
   /// Full read of the batch at file position `pos` (values are views of
   /// the mapping); INTERNAL when it is not a valid batch.
   Status read_batch(std::uint64_t pos, BatchReader* batch) const;
@@ -113,17 +107,10 @@ class Segment {
   std::uint64_t end_offset() const { return next_offset_; }
   std::uint64_t record_count() const { return next_offset_ - base_offset_; }
   std::uint64_t bytes() const { return bytes_; }
-  std::uint64_t first_timestamp_ns() const {
-    return index_.empty() ? 0 : index_.front().broker_timestamp_ns;
-  }
   std::uint64_t last_timestamp_ns() const { return last_timestamp_ns_; }
   const std::vector<IndexEntry>& index() const { return index_; }
 
  private:
-  /// Hops batch headers from `pos` to the first batch `stop` accepts.
-  template <typename Stop>
-  Result<std::uint64_t> hop(std::uint64_t pos, Stop stop) const;
-
   const std::string path_;
   const std::uint64_t base_offset_;
   std::uint64_t next_offset_;

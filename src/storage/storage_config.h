@@ -65,7 +65,6 @@ struct SegmentInfo {
   std::uint64_t base_offset = 0;
   std::uint64_t end_offset = 0;  // exclusive
   std::uint64_t bytes = 0;       // valid (CRC-checked) file bytes
-  std::uint64_t first_timestamp_ns = 0;
   std::uint64_t last_timestamp_ns = 0;
   bool active = false;
 

@@ -110,8 +110,7 @@ Result<std::uint64_t> ControlClient::produce(
 
 Result<std::vector<broker::ConsumedRecord>> ControlClient::fetch(
     const std::string& topic, std::uint32_t partition, std::uint64_t offset,
-    std::uint64_t max_records, std::uint64_t max_bytes,
-    const std::string& client_id) {
+    std::uint64_t max_records, std::uint64_t max_bytes) {
   if (!socket_.valid()) return Status::FailedPrecondition("client closed");
   ControlMap req{{"op", "fetch"},
                  {"topic", topic},
@@ -119,7 +118,6 @@ Result<std::vector<broker::ConsumedRecord>> ControlClient::fetch(
                  {"offset", std::to_string(offset)},
                  {"max_records", std::to_string(max_records)},
                  {"max_bytes", std::to_string(max_bytes)}};
-  if (!client_id.empty()) req["client"] = client_id;
   auto payload = encode_control(req);
   if (auto s = socket_.send_frame(kFrameControl, payload); !s.ok()) return s;
   auto frame = socket_.recv_frame(request_timeout_);

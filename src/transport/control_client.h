@@ -73,8 +73,7 @@ class ControlClient {
   /// Socket fetch path: 'C' request out, 'B' batch back.
   Result<std::vector<broker::ConsumedRecord>> fetch(
       const std::string& topic, std::uint32_t partition, std::uint64_t offset,
-      std::uint64_t max_records = 512, std::uint64_t max_bytes = 8ull << 20,
-      const std::string& client_id = {});
+      std::uint64_t max_records = 512, std::uint64_t max_bytes = 8ull << 20);
 
   Status commit(const std::string& group, const std::string& topic,
                 std::uint32_t partition, std::uint64_t offset);

@@ -103,7 +103,7 @@ void ControlPlane::serve_connection(FramedSocket socket) {
         } else if (request.count("op") != 0u && request.at("op") == "fetch") {
           // Fetch replies are binary frames; handle inline so the reply
           // type can differ from 'C'.
-          std::string topic, client;
+          std::string topic;
           std::uint64_t partition = 0, offset = 0;
           std::uint64_t max_records = 512, max_bytes = 8ull << 20;
           Status s = require_field(request, "topic", &topic);
@@ -115,16 +115,13 @@ void ControlPlane::serve_connection(FramedSocket socket) {
           if (request.count("max_bytes") != 0u && s.ok()) {
             s = require_u64(request, "max_bytes", &max_bytes);
           }
-          if (auto it = request.find("client"); it != request.end()) {
-            client = it->second;
-          }
           if (s.ok()) {
             broker::FetchSpec spec;
             spec.offset = offset;
             spec.max_records = static_cast<std::size_t>(max_records);
             spec.max_bytes = max_bytes;
             auto fetched = broker_->fetch(
-                topic, static_cast<std::uint32_t>(partition), spec, client);
+                topic, static_cast<std::uint32_t>(partition), spec);
             if (fetched.ok()) {
               auto payload = encode_fetch_batch(
                   topic, static_cast<std::uint32_t>(partition),

@@ -42,9 +42,6 @@ FramedSocket& FramedSocket::operator=(FramedSocket&& other) noexcept {
     close();
     fd_ = other.fd_;
     other.fd_ = -1;
-    fabric_ = std::move(other.fabric_);
-    fabric_from_ = std::move(other.fabric_from_);
-    fabric_to_ = std::move(other.fabric_to_);
   }
   return *this;
 }
@@ -57,13 +54,6 @@ void FramedSocket::close() {
 }
 
 FramedSocket FramedSocket::adopt(int fd) { return FramedSocket(fd); }
-
-void FramedSocket::set_fabric(std::shared_ptr<net::Fabric> fabric,
-                              net::SiteId from, net::SiteId to) {
-  fabric_ = std::move(fabric);
-  fabric_from_ = std::move(from);
-  fabric_to_ = std::move(to);
-}
 
 Result<FramedSocket> FramedSocket::connect_loopback(std::uint16_t port,
                                                     Duration timeout) {
@@ -118,14 +108,6 @@ Status FramedSocket::send_frame(char type, ByteSpan payload) {
   if (fd_ < 0) return Status::FailedPrecondition("socket closed");
   if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds 64 MiB");
-  }
-  if (fabric_) {
-    // Charge the emulated link first: a WAN partition must fail the send
-    // before any byte hits the real socket, and a degraded link blocks
-    // the sender for the emulated transfer time.
-    auto transfer = fabric_->transfer(fabric_from_, fabric_to_,
-                                      payload.size() + 5);
-    if (!transfer.ok()) return transfer.status();
   }
   std::uint8_t header[5];
   header[0] = static_cast<std::uint8_t>(type);

@@ -3,11 +3,7 @@
 // The WAN-hop data plane and the control plane both speak this protocol:
 // every message is one frame — 1 ASCII type byte + u32 payload length
 // (LE) + payload (see wire.h for the type vocabulary). Localhost TCP is
-// the real transport; the emulated net::Fabric can additionally be
-// attached to a socket, in which case every outgoing frame is first
-// charged to a fabric transfer — a partitioned or degraded emulated link
-// then surfaces exactly as it would on a real WAN: transient UNAVAILABLE
-// (partition) or added latency (degrade), never a silent success.
+// the transport.
 //
 // Error model (everything a retry loop needs is in the code):
 //   - connect refusal / reset / EOF / EPIPE -> UNAVAILABLE (transient)
@@ -19,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -27,7 +22,6 @@
 #include "common/clock.h"
 #include "common/serialize.h"
 #include "common/status.h"
-#include "network/fabric.h"
 
 namespace pe::transport {
 
@@ -61,12 +55,6 @@ class FramedSocket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Charges every outgoing frame to an emulated fabric link before the
-  /// real send. A partitioned link -> UNAVAILABLE, a degraded link adds
-  /// its (scaled) latency — the WAN-emulation hook for transport tests.
-  void set_fabric(std::shared_ptr<net::Fabric> fabric, net::SiteId from,
-                  net::SiteId to);
-
   /// Sends one frame, header and payload in one sendmsg (blocking; the
   /// kernel buffer is the only queue). EPIPE/reset -> UNAVAILABLE.
   Status send_frame(char type, ByteSpan payload);
@@ -83,9 +71,6 @@ class FramedSocket {
   Status read_all(std::uint8_t* data, std::size_t size, TimePoint deadline);
 
   int fd_ = -1;
-  std::shared_ptr<net::Fabric> fabric_;
-  net::SiteId fabric_from_;
-  net::SiteId fabric_to_;
 };
 
 /// Listening socket on 127.0.0.1. Port 0 picks an ephemeral port

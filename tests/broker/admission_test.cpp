@@ -94,7 +94,6 @@ TEST(AdmissionControllerTest, ThrottleIsTransientAndRecovers) {
   ScopedTimeScale scale(200.0);
   AdmissionConfig config;
   config.default_quota.bytes_per_sec = 1e6;
-  config.default_quota.burst_seconds = 1.0;
   AdmissionController admission(config);
 
   ASSERT_TRUE(admission.admit("edge-client", 1, 1'000'000).ok());
@@ -142,14 +141,17 @@ TEST(AdmissionControllerTest, ExplicitQuotaOverridesDefault) {
 }
 
 TEST(AdmissionControllerTest, RetryAfterRespectsConfiguredFloor) {
+  // Slow emulated time to a crawl, so the bucket barely refills between
+  // the two admits: the natural hint stays near 100 bytes / 1 MB/s =
+  // 100 us, under the floor.
+  ScopedTimeScale scale(0.001);
   AdmissionConfig config;
-  config.default_quota.bytes_per_sec = 1000.0;
-  config.min_retry_after = std::chrono::seconds(2);
+  config.default_quota.bytes_per_sec = 1e6;
   AdmissionController admission(config);
-  ASSERT_TRUE(admission.admit("c", 1, 1000).ok());
+  ASSERT_TRUE(admission.admit("c", 1, 1'000'000).ok());
   auto throttled = admission.admit("c", 1, 100);
   ASSERT_FALSE(throttled.ok());
-  EXPECT_GE(throttled.retry_after(), Duration(std::chrono::seconds(2)));
+  EXPECT_EQ(throttled.retry_after(), kMinRetryAfter);
 }
 
 TEST(AdmissionControllerTest, HotWindowReservationSeesInflightBytes) {

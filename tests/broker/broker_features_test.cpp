@@ -1,14 +1,9 @@
-// Tests for time-based retention, timestamp seek, and consumer-group
-// liveness (heartbeats / session eviction).
+// Tests for time-based retention and consumer-group liveness
+// (heartbeats / session eviction).
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <filesystem>
-#include <vector>
 
 #include "broker/broker.h"
 #include "broker/consumer.h"
-#include "broker/producer.h"
 #include "network/fabric.h"
 
 namespace pe::broker {
@@ -44,70 +39,6 @@ TEST(TimeRetentionTest, LastRecordNeverAgedOut) {
   (void)log.append(make_record("second"));
   // The newest record survives even if technically old at next append.
   EXPECT_GE(log.record_count(), 1u);
-}
-
-TEST(OffsetForTimestampTest, FindsFirstAtOrAfter) {
-  PartitionLog log;
-  (void)log.append(make_record("a"));
-  Clock::sleep_exact(std::chrono::milliseconds(5));
-  const std::uint64_t mid_ns = Clock::now_ns();
-  Clock::sleep_exact(std::chrono::milliseconds(5));
-  (void)log.append(make_record("b"));
-  (void)log.append(make_record("c"));
-
-  EXPECT_EQ(log.offset_for_timestamp(0), 0u);
-  EXPECT_EQ(log.offset_for_timestamp(mid_ns), 1u);
-  EXPECT_EQ(log.offset_for_timestamp(Clock::now_ns() + 1'000'000'000ull),
-            log.end_offset());
-}
-
-TEST(OffsetForTimestampTest, EmptyLogReturnsEnd) {
-  PartitionLog log;
-  EXPECT_EQ(log.offset_for_timestamp(123), 0u);
-}
-
-/// Appends `n` records and returns the broker timestamp of each.
-std::vector<std::uint64_t> append_stamped(PartitionLog& log, int n) {
-  std::vector<std::uint64_t> stamps;
-  for (int i = 0; i < n; ++i) {
-    FetchSpec spec;
-    spec.offset = log.append(make_record("k" + std::to_string(i))).value();
-    stamps.push_back(log.fetch(spec).value().front().broker_timestamp_ns);
-    Clock::sleep_exact(std::chrono::microseconds(20));
-  }
-  return stamps;
-}
-
-TEST(OffsetForTimestampTest, TrimmedInMemoryLogAnswersItsStart) {
-  PartitionLog log(RetentionPolicy{.max_records = 3});
-  const auto stamps = append_stamped(log, 6);
-  ASSERT_EQ(log.log_start_offset(), 3u);
-  // Older than every retained record, trimmed ones included.
-  EXPECT_EQ(log.offset_for_timestamp(0), 3u);
-  EXPECT_EQ(log.offset_for_timestamp(stamps[1]), 3u);
-  EXPECT_EQ(log.offset_for_timestamp(stamps[4]), 4u);
-  EXPECT_EQ(log.offset_for_timestamp(stamps[5] + 1), 6u);
-}
-
-TEST(OffsetForTimestampTest, AnswerBelowTheHotWindowComesFromDisk) {
-  char dir_template[] = "/tmp/pe_oft_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir = dir_template;
-  {
-    RetentionPolicy retention;
-    retention.hot_max_bytes = 1;  // the hot window keeps one record
-    PartitionLog log(retention, dir);
-    ASSERT_TRUE(log.durable());
-    const auto stamps = append_stamped(log, 8);
-    ASSERT_EQ(log.log_start_offset(), 0u);
-    ASSERT_LT(log.hot_window_bytes() * 4, log.byte_size());  // trimmed
-    EXPECT_EQ(log.offset_for_timestamp(0), 0u);
-    EXPECT_EQ(log.offset_for_timestamp(stamps[2]), 2u);
-    EXPECT_EQ(log.offset_for_timestamp(stamps[2] + 1), 3u);
-    EXPECT_EQ(log.offset_for_timestamp(stamps[7]), 7u);
-    EXPECT_EQ(log.offset_for_timestamp(stamps[7] + 1), 8u);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 class LivenessTest : public ::testing::Test {
@@ -195,28 +126,6 @@ TEST_F(LivenessTest, EvictedConsumerRejoinsOnNextPoll) {
   (void)consumer.poll(std::chrono::milliseconds(10));
   EXPECT_EQ(broker_->coordinator().members("g").size(), 2u);
   EXPECT_FALSE(consumer.assignment().empty());
-}
-
-TEST_F(LivenessTest, SeekToTimestampThroughConsumer) {
-  Producer producer(broker_, fabric_, "s");
-  ASSERT_TRUE(producer.send("t", 0, make_record("first")).ok());
-  Clock::sleep_exact(std::chrono::milliseconds(5));
-  const std::uint64_t cut_ns = Clock::now_ns();
-  Clock::sleep_exact(std::chrono::milliseconds(5));
-  ASSERT_TRUE(producer.send("t", 0, make_record("second")).ok());
-
-  ConsumerConfig config;
-  config.auto_commit = false;
-  Consumer consumer(broker_, fabric_, "s", "g2", config);
-  ASSERT_TRUE(consumer.assign({{"t", 0}}).ok());
-  ASSERT_EQ(consumer.poll(std::chrono::milliseconds(50)).size(), 2u);
-
-  ASSERT_TRUE(consumer.seek_to_timestamp({"t", 0}, cut_ns).ok());
-  auto records = consumer.poll(std::chrono::milliseconds(50));
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].record.key, "second");
-  EXPECT_EQ(consumer.seek_to_timestamp({"t", 9}, cut_ns).code(),
-            StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -33,13 +33,6 @@ TEST_F(BrokerTest, CreateTopicValidation) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(BrokerTest, DeleteTopicRemovesIt) {
-  ASSERT_TRUE(broker_->delete_topic("t").ok());
-  EXPECT_FALSE(broker_->has_topic("t"));
-  EXPECT_EQ(broker_->delete_topic("t").code(), StatusCode::kNotFound);
-  EXPECT_EQ(broker_->partition_count("t"), 0u);
-}
-
 TEST_F(BrokerTest, TopicNamesListsAll) {
   ASSERT_TRUE(broker_->create_topic("u", {}).ok());
   const auto names = broker_->topic_names();

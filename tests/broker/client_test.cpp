@@ -119,7 +119,6 @@ TEST_F(ClientTest, ThrottledSendIsRetriedToSuccess) {
   ScopedTimeScale scale(100.0);
   AdmissionConfig admission;
   admission.default_quota.bytes_per_sec = 20'000.0;
-  admission.default_quota.burst_seconds = 1.0;
   BrokerOptions options;
   options.admission = admission;
   auto broker = std::make_shared<Broker>("cloud", options);

@@ -306,7 +306,6 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
   ScopedTimeScale scale(10.0);
   auto options = fast_options();
   options.admission.default_quota.bytes_per_sec = 20'000.0;
-  options.admission.default_quota.burst_seconds = 1.0;
   auto cluster = std::make_shared<BrokerCluster>(options);
   ClusterTopicConfig one;
   one.partitions = 1;
@@ -338,87 +337,6 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
   ASSERT_TRUE(wait_until([&] {
     return cluster->replicas_converged("metrics", 0);
   }));
-}
-
-TEST(ClusterClientTest, FetchQuotaThrottlesPollAtTheLeader) {
-  // The consumer's id reaches the partition leader's fetch quota. 1 MB/s
-  // with a 10 kB burst, against 256 kB fetches: the first poll leaves the
-  // consumer ~0.25 s in debt, so the next one is refused.
-  auto options = fast_options();
-  options.admission.default_fetch_quota.bytes_per_sec = 1e6;
-  options.admission.default_fetch_quota.burst_seconds = 0.01;
-  auto cluster = std::make_shared<BrokerCluster>(options);
-  ClusterTopicConfig one;
-  one.partitions = 1;
-  ASSERT_TRUE(cluster->create_topic("metrics", one).ok());
-  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
-  broker::Producer producer(endpoint, nullptr, "edge");
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(producer
-                    .send("metrics", 0,
-                          make_record("k" + std::to_string(i), 20 * 1024))
-                    .ok());
-  }
-
-  broker::ConsumerConfig config;
-  config.max_poll_records = 1000;
-  config.fetch_max_bytes = 256 * 1024;
-  broker::Consumer consumer(endpoint, nullptr, "cloud", "g", config);
-  ASSERT_TRUE(consumer.assign({{"metrics", 0}}).ok());
-
-  Status throttle;
-  ASSERT_FALSE(consumer.poll(1s, &throttle).empty());
-  ASSERT_TRUE(throttle.ok()) << throttle.to_string();
-
-  EXPECT_TRUE(consumer.poll(50ms, &throttle).empty());
-  EXPECT_EQ(throttle.code(), StatusCode::kResourceExhausted);
-  EXPECT_GT(throttle.retry_after(), Duration::zero());
-  EXPECT_EQ(consumer.stats().throttled_polls, 1u);
-  auto leader = cluster->leader("metrics", 0);
-  ASSERT_TRUE(leader.ok());
-  EXPECT_GE(cluster->broker(leader.value())->stats().fetch_throttled, 1u);
-}
-
-TEST(ClusterClientTest, OffsetForTimestampSurvivesLeaderKill) {
-  auto cluster = std::make_shared<BrokerCluster>(fast_options());
-  ASSERT_TRUE(cluster->create_topic("events").ok());
-  auto endpoint = std::make_shared<ClusterEndpoint>(cluster);
-  broker::Producer producer(endpoint, nullptr, "edge");
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        producer.send("events", 0, make_record("k" + std::to_string(i))).ok());
-  }
-  ASSERT_TRUE(
-      wait_until([&] { return cluster->replicas_converged("events", 0); }));
-
-  auto leader = cluster->leader("events", 0);
-  ASSERT_TRUE(leader.ok());
-  broker::FetchSpec spec;
-  auto records = cluster->fetch(leader.value(), "events", 0, spec);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records.value().size(), 10u);
-  const std::uint64_t ts = records.value()[5].broker_timestamp_ns;
-  auto before = cluster->offset_for_timestamp("events", 0, ts);
-  ASSERT_TRUE(before.ok()) << before.status().to_string();
-  EXPECT_LE(before.value(), 5u);
-  EXPECT_GE(records.value()[before.value()].broker_timestamp_ns, ts);
-
-  // Replicas keep the leader's timestamps, so the new leader gives the
-  // same answer.
-  ASSERT_TRUE(cluster->kill_broker(leader.value()).ok());
-  ASSERT_TRUE(wait_until([&] {
-    return cluster->failover_count() >= 1 && cluster->all_partitions_led();
-  }));
-  auto after = cluster->offset_for_timestamp("events", 0, ts);
-  ASSERT_TRUE(after.ok()) << after.status().to_string();
-  EXPECT_EQ(after.value(), before.value());
-
-  // The consumer's seek_to_timestamp works on the cluster too.
-  broker::Consumer consumer(endpoint, nullptr, "cloud", "g-ts");
-  const broker::TopicPartition tp{"events", 0};
-  ASSERT_TRUE(consumer.assign({tp}).ok());
-  ASSERT_TRUE(consumer.seek_to_timestamp(tp, ts).ok());
-  EXPECT_EQ(consumer.position(tp).value(), before.value());
 }
 
 TEST(ClusterClientTest, ConsumerKeepsDeliveringAcrossLeaderKill) {

@@ -169,6 +169,42 @@ TEST_F(BridgeTest, ShutdownIsIdempotentAndRestartable) {
   EXPECT_TRUE(bridge.start().ok());
 }
 
+TEST_F(BridgeTest, ShutdownDuringKafkaOutageReturnsPromptly) {
+  // Real time (scale 1): a forward left to its retry budget would hold
+  // shutdown() for up to 16 s.
+  ScopedTimeScale scale(1.0);
+  BridgeConfig config;
+  config.mqtt_filter = "sensors/#";
+  config.kafka_topic = "ingest";
+  MqttKafkaBridge bridge(mqtt_, kafka_, fabric_, "edge", config);
+  ASSERT_TRUE(bridge.start().ok());
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    ASSERT_TRUE(kafka_->set_partition_offline("ingest", p, true).ok());
+  }
+  MqttClient device(mqtt_, fabric_, "edge", "dev-1");
+  ASSERT_TRUE(device.connect().ok());
+  Message m;
+  m.topic = "sensors/dev-1/temp";
+  m.payload = {7};
+  m.qos = QoS::kAtLeastOnce;
+  ASSERT_TRUE(device.publish(std::move(m)).ok());
+
+  // Once the bridge holds the message its forward fails and retries.
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (mqtt_->counters().delivered == 0 && Clock::now() < deadline) {
+    Clock::sleep_exact(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(mqtt_->counters().delivered, 1u);
+  Clock::sleep_exact(std::chrono::milliseconds(20));
+
+  Stopwatch sw;
+  bridge.shutdown();
+  EXPECT_LT(sw.elapsed_ms(), 100.0);
+  // The cancelled forward is neither forwarded nor an error.
+  EXPECT_EQ(bridge.stats().forwarded, 0u);
+  EXPECT_EQ(bridge.stats().forward_errors, 0u);
+}
+
 TEST_F(BridgeTest, ClientChargesFabric) {
   MqttClient device(mqtt_, fabric_, "cloud", "remote-dev");
   ASSERT_TRUE(device.connect().ok());

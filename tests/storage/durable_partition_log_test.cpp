@@ -161,34 +161,6 @@ TEST_F(DurablePartitionLogTest, PowerLossThenReopenTruncatesTornTail) {
   EXPECT_EQ(fetched.value().size(), report.records_recovered);
 }
 
-// Satellite: offset_for_timestamp answers correctly whether the target
-// record sits in the hot deque or only in the cold segments.
-TEST_F(DurablePartitionLogTest, OffsetForTimestampSpansBothTiers) {
-  RetentionPolicy retention;
-  retention.max_records = 4;
-  PartitionLog log(retention, dir_);
-  std::vector<std::uint64_t> stamps;
-  for (int i = 0; i < 12; ++i) {
-    const std::uint64_t off = log.append(make_record("k", 16)).value();
-    FetchSpec spec;
-    spec.offset = off;
-    auto fetched = log.fetch(spec);
-    ASSERT_TRUE(fetched.ok());
-    stamps.push_back(fetched.value()[0].broker_timestamp_ns);
-  }
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    // Each append issues a disk write, so timestamps are strictly
-    // increasing at ns resolution; the lookups below rely on it.
-    ASSERT_LT(stamps[i - 1], stamps[i]);
-  }
-  // Hot window holds offsets [8, 12); everything earlier is cold-only.
-  EXPECT_EQ(log.offset_for_timestamp(0), 0u);
-  EXPECT_EQ(log.offset_for_timestamp(stamps[2]), 2u);    // cold tier
-  EXPECT_EQ(log.offset_for_timestamp(stamps[6] + 1), 7u);
-  EXPECT_EQ(log.offset_for_timestamp(stamps[10]), 10u);  // hot tier
-  EXPECT_EQ(log.offset_for_timestamp(stamps[11] + 1), 12u);
-}
-
 // Satellite: combined retention — all three bounds active at once; the
 // tightest bound wins and the boundary record survives.
 TEST(RetentionPolicyTest, CombinedBoundsTightestWins) {

@@ -289,24 +289,6 @@ TEST_F(LogDirTest, FetchedViewOutlivesRetentionUnlink) {
   EXPECT_EQ(payload[0], 0x77);
 }
 
-TEST_F(LogDirTest, OffsetForTimestampAcrossSegments) {
-  StorageConfig config;
-  config.segment_max_bytes = 300;
-  auto log = open(config);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(log->append(make_record("k", 64),
-                            1000 + static_cast<std::uint64_t>(i) * 10)
-                    .ok());
-  }
-  ASSERT_GT(log->segment_count(), 2u);
-  EXPECT_EQ(log->offset_for_timestamp(0), 0u);
-  EXPECT_EQ(log->offset_for_timestamp(1000), 0u);
-  EXPECT_EQ(log->offset_for_timestamp(1005), 1u);
-  EXPECT_EQ(log->offset_for_timestamp(1150), 15u);
-  EXPECT_EQ(log->offset_for_timestamp(1190), 19u);
-  EXPECT_EQ(log->offset_for_timestamp(5000), 20u);
-}
-
 // --- group commit ---
 
 TEST_F(LogDirTest, GroupCommitEverySyncAppendersReturnDurable) {
@@ -400,7 +382,6 @@ TEST_F(LogDirTest, AppendBatchRoundTripAndPerRecordTimestamps) {
     EXPECT_EQ(cr.record.key, "k" + std::to_string(i));
     EXPECT_EQ(cr.record.value, records[static_cast<std::size_t>(i)].value);
   }
-  EXPECT_EQ(log->offset_for_timestamp(1005), 5u);
 }
 
 TEST_F(LogDirTest, AppendBatchDoesAtMostOneFsyncUnderEverySync) {
@@ -491,19 +472,6 @@ TEST_F(LogDirTest, FetchFromEveryOffsetInsideABatch) {
   }
 }
 
-TEST_F(LogDirTest, OffsetForTimestampInsideABatch) {
-  auto log = open();
-  append_one_batch(*log, 0, 6);  // timestamps 100 .. 150
-  append_one_batch(*log, 6, 6);  // timestamps 160 .. 210
-  EXPECT_EQ(log->offset_for_timestamp(100), 0u);
-  EXPECT_EQ(log->offset_for_timestamp(101), 1u);
-  EXPECT_EQ(log->offset_for_timestamp(125), 3u);
-  EXPECT_EQ(log->offset_for_timestamp(150), 5u);
-  EXPECT_EQ(log->offset_for_timestamp(151), 6u);
-  EXPECT_EQ(log->offset_for_timestamp(185), 9u);
-  EXPECT_EQ(log->offset_for_timestamp(211), 12u);
-}
-
 TEST_F(LogDirTest, TruncateInsideABatchEndsAtTheCut) {
   {
     auto log = open();
@@ -515,7 +483,8 @@ TEST_F(LogDirTest, TruncateInsideABatchEndsAtTheCut) {
     ASSERT_TRUE(kept.ok());
     ASSERT_EQ(kept.value().size(), 8u);
     for (std::uint64_t o = 0; o < 8; ++o) expect_record_at(kept.value()[o], o);
-    EXPECT_EQ(log->offset_for_timestamp(175), 8u);
+    // The rewritten batch ends at the last kept record's stamp.
+    EXPECT_EQ(log->segments().back().last_timestamp_ns, 170u);
   }
   RecoveryReport report;
   auto log = open({}, &report);
@@ -692,30 +661,6 @@ TEST_F(LogDirTest, RecoveryKeepsLoneEmptySegment) {
   EXPECT_EQ(log->end_offset(), 0u);
   ASSERT_TRUE(log->append(make_record("first", 16), 1).ok());
   EXPECT_EQ(log->end_offset(), 1u);
-}
-
-// --- offset_for_timestamp: empty active segment ---
-
-TEST_F(LogDirTest, OffsetForTimestampOnEmptyLog) {
-  auto log = open();
-  EXPECT_EQ(log->offset_for_timestamp(0), 0u);
-  EXPECT_EQ(log->offset_for_timestamp(12345), 0u);
-}
-
-TEST_F(LogDirTest, OffsetForTimestampWithEmptyActiveSegmentAfterTruncate) {
-  auto log = open();
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(log->append(make_record("k", 32),
-                            1000 + static_cast<std::uint64_t>(i))
-                    .ok());
-  }
-  // Truncating at the log start leaves a single, empty active segment —
-  // the binary search must not land on it and fall into the error path.
-  ASSERT_TRUE(log->truncate_suffix(0).ok());
-  EXPECT_EQ(log->end_offset(), 0u);
-  EXPECT_EQ(log->offset_for_timestamp(500), 0u);
-  EXPECT_EQ(log->offset_for_timestamp(1003), 0u);
-  EXPECT_EQ(log->offset_for_timestamp(99999), 0u);
 }
 
 // --- recycled segment files ---

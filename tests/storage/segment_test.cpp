@@ -135,7 +135,6 @@ TEST_F(SegmentTest, ScanRecoversAllFrames) {
   EXPECT_EQ(segment.base_offset(), 10u);
   EXPECT_EQ(segment.end_offset(), 15u);
   EXPECT_EQ(segment.record_count(), 5u);
-  EXPECT_EQ(segment.first_timestamp_ns(), 1000u);
   EXPECT_EQ(segment.last_timestamp_ns(), 1040u);
 }
 
@@ -183,26 +182,6 @@ TEST_F(SegmentTest, PositionOfWalksFromSparseIndex) {
       EXPECT_FALSE(segment.position_of(99).ok());
       EXPECT_FALSE(segment.position_of(150).ok());
     }
-  }
-}
-
-TEST_F(SegmentTest, OffsetForTimestamp) {
-  // Timestamps 1000, 1010, ..., 1190; ~1 KiB records => several index
-  // entries to search. With three records a batch, most answers lie
-  // inside a batch.
-  for (const int per_batch : {1, 3}) {
-    write_batches(0, 20, 1024, per_batch);
-    Segment segment(seg_path(), 0);
-    ASSERT_TRUE(segment.scan().ok());
-    ASSERT_GT(segment.index().size(), 1u);
-    EXPECT_EQ(segment.offset_for_timestamp(0).value(), 0u);
-    EXPECT_EQ(segment.offset_for_timestamp(1000).value(), 0u);
-    EXPECT_EQ(segment.offset_for_timestamp(1001).value(), 1u);
-    EXPECT_EQ(segment.offset_for_timestamp(1100).value(), 10u);
-    EXPECT_EQ(segment.offset_for_timestamp(1115).value(), 12u);
-    EXPECT_EQ(segment.offset_for_timestamp(1190).value(), 19u);
-    // Past the newest record: end offset.
-    EXPECT_EQ(segment.offset_for_timestamp(1191).value(), 20u);
   }
 }
 

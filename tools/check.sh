@@ -215,7 +215,12 @@ case "${MODE}" in
     # a header that is reached for something else goes unnoticed. Find
     # those by linking the non-test binaries with -ffunction-sections
     # -Wl,--gc-sections -Wl,--print-gc-sections and looking for the
-    # functions that survive in none of them.
+    # functions that survive in none of them. Even that misses a
+    # capability a product path links but never switches on (a gate
+    # called on every fetch whose quota nothing sets, a virtual kept
+    # alive by its vtable): audit each public setter, option field and
+    # parameter by grepping src/ tools/ bench/ bench_e2e/ examples/ for a
+    # caller outside its own definition that sets it to a non-default.
     cd "${ROOT}"
     UNREACHED=0
     while IFS= read -r HEADER; do

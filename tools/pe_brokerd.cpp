@@ -84,12 +84,11 @@ int main(int argc, char** argv) {
   const auto stats = broker->stats();
   std::printf(
       "BROKERD stats records_in=%llu records_out=%llu throttled=%llu "
-      "fetch_throttled=%llu heartbeat_misses=%llu dead_producer_gcs=%llu "
-      "frames_in=%llu frames_out=%llu\n",
+      "heartbeat_misses=%llu dead_producer_gcs=%llu frames_in=%llu "
+      "frames_out=%llu\n",
       static_cast<unsigned long long>(stats.records_in),
       static_cast<unsigned long long>(stats.records_out),
       static_cast<unsigned long long>(stats.throttled),
-      static_cast<unsigned long long>(stats.fetch_throttled),
       static_cast<unsigned long long>(counter("transport.heartbeat_misses")),
       static_cast<unsigned long long>(counter("transport.dead_producer_gcs")),
       static_cast<unsigned long long>(counter("transport.frames_in")),
